@@ -1,9 +1,11 @@
-//! Deterministic parallel task pool on `std::thread::scope`.
+//! Deterministic parallel map on `std::thread::scope`.
 //!
-//! [`par_map`] fans a slice of independent tasks out over a small
-//! worker pool. Workers claim tasks through a shared atomic cursor
-//! (work stealing degenerates to work *sharing* with one queue, which
-//! is ideal for the coarse per-fold / per-scenario tasks this
+//! [`par_map`] fans a slice of independent tasks out over `threads`
+//! workers. There is no standing pool: each call spawns `threads − 1`
+//! scoped threads and the calling thread works as the last one, so a
+//! call costs one spawn/join per extra thread. Workers claim tasks
+//! through a shared atomic cursor (work *sharing* with one queue,
+//! which suits the coarse per-fold / per-scenario tasks this
 //! workspace runs), collect `(index, result)` pairs locally, and the
 //! results are merged back **in task-index order**. Combined with
 //! per-task RNG streams ([`fadewich_stats::rng::Rng::task_stream`]),
@@ -25,7 +27,7 @@ use std::sync::Mutex;
 /// Thread-count override installed by [`with_threads`]; 0 = none.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Resolves the worker-pool size: override > `FADEWICH_THREADS` >
+/// Resolves the worker count: override > `FADEWICH_THREADS` >
 /// available parallelism, clamped to at least 1.
 pub fn thread_count() -> usize {
     let o = OVERRIDE.load(Ordering::SeqCst);
@@ -42,7 +44,7 @@ pub fn thread_count() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `f` with the pool size pinned to `n` threads.
+/// Runs `f` with the worker count pinned to `n` threads.
 ///
 /// Serializes against other `with_threads` callers (the override is
 /// process-global, like the environment) and restores the previous
@@ -61,13 +63,13 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Maps `f` over `0..n` on the worker pool, returning results in
-/// index order.
+/// Maps `f` over `0..n` on [`thread_count`] workers, the caller being
+/// one of them, returning results in index order.
 ///
 /// `f` must be pure per index (draw randomness from
 /// `Rng::task_stream`, not shared state) for the output to be
-/// deterministic. Panics in `f` are propagated to the caller after
-/// the scope unwinds.
+/// deterministic. A panic in `f`, on any worker, is propagated to the
+/// caller once every worker has stopped.
 pub fn par_map_indices<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -78,26 +80,24 @@ where
         return (0..n).map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        local
+    };
     let mut buckets: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(claim));
+        for r in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+            match r {
                 Ok(local) => buckets.push(local),
                 Err(p) => panic = Some(p),
             }
@@ -116,8 +116,9 @@ where
         .collect()
 }
 
-/// Maps `f` over a slice on the worker pool, returning results in
-/// input order. See [`par_map_indices`] for the determinism contract.
+/// Maps `f` over a slice on [`thread_count`] workers, returning
+/// results in input order. See [`par_map_indices`] for the
+/// determinism contract.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -249,6 +250,30 @@ mod tests {
                 i
             })
         });
+    }
+
+    #[test]
+    fn caller_share_panics_propagate() {
+        // A worker stops at its first panic, so with two panicking
+        // tasks on two threads the calling thread runs one of them.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(|| {
+                with_threads(2, || {
+                    par_map_indices(2, |i| -> usize { panic!("task {i} exploded") })
+                })
+            });
+            let message = r.err().and_then(|p| p.downcast_ref::<String>().cloned());
+            tx.send(message).expect("receiver outlives the call");
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("par_map_indices returned instead of hanging");
+        caller.join().expect("the caller thread caught the panic");
+        assert!(
+            message.is_some_and(|m| m.ends_with("exploded")),
+            "a task's own panic reached the caller"
+        );
     }
 
     #[test]

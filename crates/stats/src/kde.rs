@@ -8,6 +8,11 @@
 
 use std::f64::consts::{PI, SQRT_2};
 
+/// Kernel reach in bandwidths: [`phi`] is exactly 1.0 for `z ≥ 8.5`
+/// and exactly 0.0 for `z ≤ −8.5`, so samples farther than this from
+/// `x` contribute a constant to the mixture CDF and need no `erf`.
+const KERNEL_REACH: f64 = 9.0;
+
 /// Standard normal CDF via `erf`.
 fn phi(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / SQRT_2))
@@ -41,6 +46,8 @@ fn erf(x: f64) -> f64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaussianKde {
+    /// Sorted ascending, so [`GaussianKde::cdf`] can binary-search the
+    /// samples within [`KERNEL_REACH`] bandwidths of `x`.
     samples: Vec<f64>,
     bandwidth: f64,
 }
@@ -74,7 +81,7 @@ impl GaussianKde {
     /// [`FitKdeError::NonFinite`] if any value is NaN/∞.
     pub fn fit(samples: &[f64]) -> Result<Self, FitKdeError> {
         let bw = silverman_bandwidth(samples)?;
-        Ok(GaussianKde { samples: samples.to_vec(), bandwidth: bw })
+        Ok(GaussianKde { samples: sorted(samples), bandwidth: bw })
     }
 
     /// Fits with an explicit bandwidth.
@@ -90,7 +97,7 @@ impl GaussianKde {
         if samples.iter().any(|x| !x.is_finite()) || !(bandwidth > 0.0) || !bandwidth.is_finite() {
             return Err(FitKdeError::NonFinite);
         }
-        Ok(GaussianKde { samples: samples.to_vec(), bandwidth })
+        Ok(GaussianKde { samples: sorted(samples), bandwidth })
     }
 
     /// The kernel bandwidth `h`.
@@ -123,41 +130,59 @@ impl GaussianKde {
     }
 
     /// Estimated cumulative distribution at `x` (exact mixture CDF).
+    ///
+    /// Only the samples within `KERNEL_REACH` bandwidths of `x` go
+    /// through `erf`; those below count exactly 1.0 and those above
+    /// exactly 0.0, which is what `phi` returns for them anyway.
     pub fn cdf(&self, x: f64) -> f64 {
         let h = self.bandwidth;
-        self.samples.iter().map(|&xi| phi((x - xi) / h)).sum::<f64>() / self.samples.len() as f64
+        let z = |xi: f64| (x - xi) / h;
+        // `z` is non-increasing along the sorted samples, so both
+        // predicates hold on a prefix.
+        let below = self.samples.partition_point(|&xi| z(xi) >= KERNEL_REACH);
+        let near = self.samples[below..].partition_point(|&xi| z(xi) > -KERNEL_REACH);
+        self.samples[below..below + near]
+            .iter()
+            .fold(below as f64, |sum, &xi| sum + phi(z(xi)))
+            / self.samples.len() as f64
     }
 
     /// Inverse CDF by bisection: the smallest `x` with `cdf(x) ≥ q`.
+    ///
+    /// Stops once a step would leave `lo`/`hi` unchanged: every later
+    /// step would then repeat it, so the result is that of running all
+    /// 80 steps.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `(0, 1)`.
     pub fn quantile(&self, q: f64) -> f64 {
         assert!(q > 0.0 && q < 1.0, "quantile level {q} must be in (0,1)");
-        let lo0 = self
-            .samples
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let hi0 = self
-            .samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
         // The mixture's tails extend a few bandwidths past the data.
-        let mut lo = lo0 - 10.0 * self.bandwidth;
-        let mut hi = hi0 + 10.0 * self.bandwidth;
+        let mut lo = self.samples[0] - 10.0 * self.bandwidth;
+        let mut hi = self.samples[self.samples.len() - 1] + 10.0 * self.bandwidth;
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
             if self.cdf(mid) < q {
+                if mid == lo {
+                    break;
+                }
                 lo = mid;
             } else {
+                if mid == hi {
+                    break;
+                }
                 hi = mid;
             }
         }
         0.5 * (lo + hi)
     }
+}
+
+fn sorted(samples: &[f64]) -> Vec<f64> {
+    let mut v = samples.to_vec();
+    v.sort_unstable_by(f64::total_cmp);
+    v
 }
 
 /// Silverman's rule-of-thumb bandwidth `0.9 · min(σ̂, IQR/1.34) · n^(−1/5)`.
@@ -200,6 +225,15 @@ mod tests {
         assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
         assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
         assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
+    }
+
+    #[test]
+    fn phi_saturates_beyond_the_kernel_reach() {
+        // The windowed `cdf` is exact only because these hold bitwise.
+        for z in [KERNEL_REACH, 12.0, 40.0, f64::INFINITY] {
+            assert_eq!(phi(z), 1.0, "phi({z})");
+            assert_eq!(phi(-z), 0.0, "phi(-{z})");
+        }
     }
 
     #[test]

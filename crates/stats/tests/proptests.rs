@@ -12,6 +12,40 @@ fn finite_vec(max_len: usize) -> VecStrategy<F64Range> {
     vecs(f64s(-1e4..1e4), 1..max_len)
 }
 
+/// Standard normal CDF through the same Abramowitz–Stegun 7.1.26 `erf`
+/// as `kde.rs`, kept here so the references below share no code with
+/// the windowed implementation.
+fn reference_phi(z: f64) -> f64 {
+    let x = (z / std::f64::consts::SQRT_2).abs();
+    let t = 1.0 / (1.0 + 0.3275911 * x);
+    let y = 1.0
+        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
+            + 0.254829592)
+            * t
+            * (-x * x).exp();
+    0.5 * (1.0 + if z < 0.0 { -y } else { y })
+}
+
+/// The mixture CDF summed over every sample, in input order.
+fn full_sum_cdf(xs: &[f64], h: f64, x: f64) -> f64 {
+    xs.iter().map(|&xi| reference_phi((x - xi) / h)).sum::<f64>() / xs.len() as f64
+}
+
+/// All 80 bisection steps over `full_sum_cdf`.
+fn bisect_80(xs: &[f64], h: f64, q: f64) -> f64 {
+    let mut lo = descriptive::min(xs).unwrap() - 10.0 * h;
+    let mut hi = descriptive::max(xs).unwrap() + 10.0 * h;
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if full_sum_cdf(xs, h, mid) < q {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 fadewich_testkit::property! {
     fn rolling_std_matches_batch(xs in finite_vec(200), cap in usizes(2..40)) {
         let mut w = RollingStd::new(cap);
@@ -78,6 +112,42 @@ fadewich_testkit::property! {
         let kde = GaussianKde::fit(&xs).unwrap();
         let x = kde.quantile(q);
         assert!((kde.cdf(x) - q).abs() < 1e-6);
+    }
+
+    // The windowed `cdf` over sorted samples and the early-exit
+    // bisection against the textbook full mixture sum and all 80
+    // bisection steps: equal up to summation order.
+    #[cases(48)]
+    fn kde_window_matches_full_sum(
+        len in usizes(1..1501),
+        shape in usizes(0..4),
+        seed in u64s(0..1 << 32),
+        q in f64s(0.01..0.99),
+    ) {
+        let mut rng = fadewich_stats::rng::Rng::seed_from_u64(seed);
+        let xs: Vec<f64> = (0..len)
+            .map(|_| match shape {
+                0 => rng.normal_with(40.0, 6.0),
+                1 => rng.normal() / (rng.f64() + 1e-3), // heavy tails
+                2 => rng.below(6) as f64 * 2.5,         // duplicates
+                _ => 7.25,                              // constant
+            })
+            .collect();
+        let kde = GaussianKde::fit(&xs).unwrap();
+        let h = kde.bandwidth();
+        let (min, max) = (descriptive::min(&xs).unwrap(), descriptive::max(&xs).unwrap());
+        let probes = (0..64)
+            .map(|_| rng.range_f64(min - 10.0 * h, max + 10.0 * h))
+            .chain(xs.iter().take(32).flat_map(|&xi| [xi, xi - 9.0 * h, xi + 9.0 * h]));
+        for x in probes {
+            let (fast, full) = (kde.cdf(x), full_sum_cdf(&xs, h, x));
+            assert!((fast - full).abs() <= 1e-12, "cdf({x}): {fast} vs {full}");
+        }
+        for q in [q, 0.99] {
+            let (fast, full) = (kde.quantile(q), bisect_80(&xs, h, q));
+            let tol = 1e-9 * (max - min + h);
+            assert!((fast - full).abs() <= tol, "quantile({q}): {fast} vs {full}");
+        }
     }
 
     fn rmi_in_unit_interval(

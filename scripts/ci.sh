@@ -139,6 +139,16 @@ cmp "$workdir/bench1.nowall" "$workdir/bench2.nowall"
 scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json"
 scripts/bench_diff.sh --rows-only BENCH_2026-08-09.json "$workdir/bench1.json"
 
+# Repository-benchmark gate: perfbench's self-tests, then a 1-second
+# untraced run of every workload. A run exits non-zero when one of its
+# decision or accounting checks fails, so a change that breaks a
+# benchmark check fails here rather than in a timed benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in office_day fleet_hostile paper_sweep; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 # Span-profile gate: `reproduce profile` folds tick-stamped spans, so
 # the whole report is logical-time only and must be byte-identical
 # across same-seed runs (`wall_` lines stripped defensively — the

@@ -11,8 +11,8 @@
 //! depends on wall time carries a `wall_` prefix, and everything else
 //! is **byte-identical across runs of the same seed**. The CI smoke
 //! gate compares two runs with all `"wall_` lines filtered out; the
-//! hot-path rows additionally carry checksums proving the fast and
-//! reference paths computed the same answers.
+//! rows additionally carry checksums of what they computed, so a
+//! behavior change shows up as a non-`wall_` diff against a baseline.
 
 use std::sync::Arc;
 
@@ -205,7 +205,7 @@ pub enum FieldValue {
 /// One workload's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
-    /// Stable row name (`wire_decode`, `md_step_fast`, …).
+    /// Stable row name (`wire_decode`, `md_step_reference`, …).
     pub name: String,
     /// Fields in emission order.
     pub fields: Vec<(String, FieldValue)>,
@@ -517,60 +517,27 @@ fn verdict_digest(digest: &mut u64, v: &MdVerdict) {
         .wrapping_add(u64::from(v.anomalous));
 }
 
-fn md_rows(cfg: &BenchConfig, clock: &dyn Clock) -> Result<Vec<BenchRow>, String> {
+fn md_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
     let rows_flat = seeded_rows(cfg.seed, cfg.md_ticks);
-    let mut results = Vec::new();
-    let mut medians = [0.0f64; 2];
-    let mut digests = [0u64; 2];
-    for (slot, reference) in [(0usize, true), (1usize, false)] {
-        let mut md = MovementDetector::new(N_STREAMS, TICK_HZ, bench_params())
-            .map_err(|e| format!("bench md: {e}"))?;
-        md.set_reference_paths(reference);
-        let mut tick = 0usize;
-        let mut digest = 0u64;
-        let mut out: Vec<MdVerdict> = Vec::new();
-        let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.md_ticks, || {
-            if reference {
-                for row in rows_flat.chunks_exact(N_STREAMS) {
-                    let v = md.step(tick, row);
-                    verdict_digest(&mut digest, &v);
-                    tick += 1;
-                }
-            } else {
-                out.clear();
-                md.step_batch(tick, &rows_flat, &mut out);
-                tick += cfg.md_ticks as usize;
-                for v in &out {
-                    verdict_digest(&mut digest, v);
-                }
-            }
-        })?;
-        medians[slot] = m.wall_median_ns_per_unit;
-        digests[slot] = digest;
-        let mut row =
-            BenchRow::new(if reference { "md_step_reference" } else { "md_step_fast" });
-        row.push("ticks", FieldValue::U64(cfg.md_ticks));
-        row.push("verdict_digest", FieldValue::U64(digest));
-        if !reference {
-            row.push("matches_reference", FieldValue::Bool(digest == digests[0]));
-            row.push(
-                "wall_speedup_vs_reference",
-                FieldValue::F64(if medians[1] > 0.0 { medians[0] / medians[1] } else { 0.0 }),
-            );
+    let mut md = MovementDetector::new(N_STREAMS, TICK_HZ, bench_params())
+        .map_err(|e| format!("bench md: {e}"))?;
+    let mut tick = 0usize;
+    let mut digest = 0u64;
+    let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.md_ticks, || {
+        for row in rows_flat.chunks_exact(N_STREAMS) {
+            let v = md.step(tick, row);
+            verdict_digest(&mut digest, &v);
+            tick += 1;
         }
-        row.push_measurement(&m);
-        results.push(row);
-    }
-    if digests[0] != digests[1] {
-        return Err(format!(
-            "md fast path diverged from reference: digest {:#x} vs {:#x}",
-            digests[1], digests[0]
-        ));
-    }
-    Ok(results)
+    })?;
+    let mut row = BenchRow::new("md_step_reference");
+    row.push("ticks", FieldValue::U64(cfg.md_ticks));
+    row.push("verdict_digest", FieldValue::U64(digest));
+    row.push_measurement(&m);
+    Ok(row)
 }
 
-fn svm_rows_bench(cfg: &BenchConfig, clock: &dyn Clock) -> Result<Vec<BenchRow>, String> {
+fn svm_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
     let re = trained_re(cfg.seed);
     let svm = re.svm();
     let dim = N_STREAMS * fadewich_core::features::FEATURES_PER_STREAM;
@@ -578,43 +545,17 @@ fn svm_rows_bench(cfg: &BenchConfig, clock: &dyn Clock) -> Result<Vec<BenchRow>,
     let batch: Vec<Vec<f64>> = (0..cfg.svm_rows)
         .map(|_| (0..dim).map(|_| rng.normal() * 3.0).collect())
         .collect();
-    let mut results = Vec::new();
-    let mut medians = [0.0f64; 2];
-    let mut sums = [0u64; 2];
-    for (slot, batched) in [(0usize, false), (1usize, true)] {
-        let mut label_sum = 0u64;
-        let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.svm_rows, || {
-            label_sum = if batched {
-                svm.predict_batch(&batch).iter().map(|&l| l as u64).sum()
-            } else {
-                batch.iter().map(|x| svm.predict(x) as u64).sum()
-            };
-            black_box(label_sum);
-        })?;
-        medians[slot] = m.wall_median_ns_per_unit;
-        sums[slot] = label_sum;
-        let mut row =
-            BenchRow::new(if batched { "svm_predict_batch" } else { "svm_predict_scalar" });
-        row.push("rows", FieldValue::U64(cfg.svm_rows));
-        row.push("feature_dim", FieldValue::U64(dim as u64));
-        row.push("label_sum", FieldValue::U64(label_sum));
-        if batched {
-            row.push("matches_reference", FieldValue::Bool(label_sum == sums[0]));
-            row.push(
-                "wall_speedup_vs_reference",
-                FieldValue::F64(if medians[1] > 0.0 { medians[0] / medians[1] } else { 0.0 }),
-            );
-        }
-        row.push_measurement(&m);
-        results.push(row);
-    }
-    if sums[0] != sums[1] {
-        return Err(format!(
-            "svm batched path diverged from scalar: label sum {} vs {}",
-            sums[1], sums[0]
-        ));
-    }
-    Ok(results)
+    let mut label_sum = 0u64;
+    let m = measure(clock, cfg.warmup_iters, cfg.iters, cfg.samples, cfg.svm_rows, || {
+        label_sum = batch.iter().map(|x| svm.predict(x) as u64).sum();
+        black_box(label_sum);
+    })?;
+    let mut row = BenchRow::new("svm_predict_scalar");
+    row.push("rows", FieldValue::U64(cfg.svm_rows));
+    row.push("feature_dim", FieldValue::U64(dim as u64));
+    row.push("label_sum", FieldValue::U64(label_sum));
+    row.push_measurement(&m);
+    Ok(row)
 }
 
 fn kde_fit_row(cfg: &BenchConfig, clock: &dyn Clock) -> Result<BenchRow, String> {
@@ -839,8 +780,8 @@ fn alloc_row(cfg: &BenchConfig) -> Result<BenchRow, String> {
 ///
 /// # Errors
 ///
-/// Invalid configs, workload construction failures, and any fast-path
-/// divergence from the reference arithmetic.
+/// Invalid configs, workload construction failures, and a borrowed
+/// decode or fleet office diverging from its owned/standalone twin.
 pub fn run(cfg: &BenchConfig, clock: &Arc<dyn Clock>) -> Result<BenchReport, String> {
     cfg.validate()?;
     let clock = clock.as_ref();
@@ -849,8 +790,8 @@ pub fn run(cfg: &BenchConfig, clock: &Arc<dyn Clock>) -> Result<BenchReport, Str
     rows.push(wire_decode_row(cfg, clock)?);
     rows.push(wire_decode_borrowed_row(cfg, clock)?);
     rows.push(mac_verify_row(cfg, clock)?);
-    rows.extend(md_rows(cfg, clock)?);
-    rows.extend(svm_rows_bench(cfg, clock)?);
+    rows.push(md_row(cfg, clock)?);
+    rows.push(svm_row(cfg, clock)?);
     rows.push(kde_fit_row(cfg, clock)?);
     rows.push(fleet_demux_row(cfg, clock)?);
     rows.push(alloc_row(cfg)?);

@@ -66,37 +66,12 @@ pub fn feature_names(link_ids: &[LinkId], streams: &[usize]) -> Vec<String> {
 
 /// Extracts the same features as [`extract_features`], but from the
 /// online per-stream history buffers the controller maintains instead
-/// of a recorded trace. Returns `None` if the window has already been
-/// evicted from history (the buffers are sized so this cannot happen
-/// during normal operation).
-pub fn extract_features_from_histories(
-    histories: &[fadewich_stats::rolling::HistoryBuffer],
-    t1_tick: u64,
-    tick_hz: f64,
-    params: &FadewichParams,
-) -> Option<Vec<f64>> {
-    let mut features = Vec::with_capacity(histories.len() * FEATURES_PER_STREAM);
-    for h in histories {
-        let t_end = (t1_tick + params.feature_window_ticks(tick_hz) as u64)
-            .min(h.total_pushed())
-            .max(t1_tick + 2);
-        let window = h.range(t1_tick, t_end)?;
-        features.push(descriptive::variance(&window));
-        features.push(Histogram::of_data(&window, params.entropy_bins).entropy_bits());
-        features.push(autocorr::mean_acf(&window, params.acf_max_lag));
-    }
-    Some(features)
-}
-
-/// Scratch-buffer variant of [`extract_features_from_histories`] for
-/// the controller's per-tick loop: the window samples land in
-/// `win_buf` and the features are appended to a cleared `out`, so once
-/// both buffers have reached steady-state capacity a call performs no
-/// feature-vector or window allocation. Returns `false` (leaving
-/// `out` empty) where the allocating variant returns `None`.
-///
-/// Produces bit-identical feature values to the allocating variant —
-/// both feed the same per-window slices through the same estimators.
+/// of a recorded trace. The window samples land in `win_buf` and the
+/// features are appended to a cleared `out`, so once both buffers have
+/// reached steady-state capacity a call performs no allocation.
+/// Returns `false` (leaving `out` empty) if the window has already
+/// been evicted from history (the buffers are sized so this cannot
+/// happen during normal operation).
 pub fn extract_features_from_histories_into(
     histories: &[fadewich_stats::rolling::HistoryBuffer],
     t1_tick: u64,
@@ -199,31 +174,54 @@ mod tests {
     }
 
     #[test]
-    fn histories_into_matches_allocating_variant() {
+    fn online_features_equal_offline_features() {
+        // Serving equals training: the same trace rows pushed into the
+        // controller's history buffers yield, bit for bit, the feature
+        // vector RE was trained on — both at the tick the feature
+        // segment completes and for a segment truncated by day end.
         use fadewich_stats::rolling::HistoryBuffer;
-        let mut rng = Rng::seed_from_u64(2);
+        let day = day_with_ramp();
         let params = FadewichParams::default();
-        let mut histories: Vec<HistoryBuffer> = (0..3).map(|_| HistoryBuffer::new(64)).collect();
-        for _ in 0..100 {
+        let streams = [2usize, 0];
+        let fw = params.feature_window_ticks(5.0);
+        let mut win_buf = Vec::new();
+        let mut online = Vec::new();
+        for t1 in [0usize, 10, 40, 75, 97] {
+            let mut histories: Vec<HistoryBuffer> =
+                streams.iter().map(|_| HistoryBuffer::new(64)).collect();
+            for tick in 0..(t1 + fw).min(day.n_ticks()) {
+                for (h, &s) in histories.iter_mut().zip(&streams) {
+                    h.push(day.sample(tick, s));
+                }
+            }
+            assert!(extract_features_from_histories_into(
+                &histories,
+                t1 as u64,
+                5.0,
+                &params,
+                &mut win_buf,
+                &mut online
+            ));
+            let offline = extract_features(&day, &streams, t1, 5.0, &params);
+            assert_eq!(online.len(), offline.len());
+            for (a, b) in online.iter().zip(&offline) {
+                assert_eq!(a.to_bits(), b.to_bits(), "t1 {t1}: {online:?} vs {offline:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_history_window_yields_no_features() {
+        use fadewich_stats::rolling::HistoryBuffer;
+        let mut histories = vec![HistoryBuffer::new(64); 3];
+        for i in 0..100 {
             for h in histories.iter_mut() {
-                h.push(-50.0 + rng.normal());
+                h.push(-50.0 + f64::from(i % 7));
             }
         }
         let mut win_buf = Vec::new();
-        let mut out = Vec::new();
-        for t1 in [40u64, 80, 98] {
-            let reference = extract_features_from_histories(&histories, t1, 5.0, &params);
-            let ok =
-                extract_features_from_histories_into(&histories, t1, 5.0, &params, &mut win_buf, &mut out);
-            assert!(ok);
-            let reference = reference.unwrap();
-            assert_eq!(out.len(), reference.len());
-            for (a, b) in out.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // An evicted window fails the same way in both variants.
-        assert!(extract_features_from_histories(&histories, 2, 5.0, &params).is_none());
+        let mut out = vec![1.0];
+        let params = FadewichParams::default();
         assert!(!extract_features_from_histories_into(
             &histories, 2, 5.0, &params, &mut win_buf, &mut out
         ));

@@ -11,7 +11,7 @@
 
 use fadewich_officesim::DayTrace;
 use fadewich_stats::kde::GaussianKde;
-use fadewich_stats::rolling::{RollingStd, RollingStdBatch, RollingStdState};
+use fadewich_stats::rolling::{RollingStd, RollingStdState};
 use fadewich_telemetry::{SpanId, Telemetry, Value};
 
 use crate::config::FadewichParams;
@@ -26,20 +26,6 @@ pub struct MdVerdict {
     pub st: f64,
     /// A variation window that closed at this tick, if any.
     pub closed_window: Option<VariationWindow>,
-}
-
-/// One tick of [`MovementDetector::step_batch_tracked`] output: the
-/// verdict plus the window-tracker readings (`dW_t`, open-window start)
-/// as they stood immediately after that tick, so a batched caller can
-/// replay the FSM exactly as if it had interleaved per-tick steps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MdBatchStep {
-    /// The tick's verdict, as [`MovementDetector::step`] would return.
-    pub verdict: MdVerdict,
-    /// `dW_t` at this tick (0 when no window is open).
-    pub open_duration_ticks: usize,
-    /// Start tick of the then-open variation window, if any.
-    pub open_window_start: Option<usize>,
 }
 
 /// Exported MD state: the learned normal profile and its KDE-derived
@@ -78,79 +64,12 @@ pub struct MdRuntimeState {
     pub tracker: WindowTrackerState,
 }
 
-/// The per-stream rolling-std storage behind [`MovementDetector`].
-///
-/// Both variants hold identical mathematical state and produce
-/// bit-identical `std_dev` streams (see [`RollingStdBatch`]'s
-/// contract); they differ only in memory layout and therefore speed.
-/// `Fast` is the default; [`MovementDetector::set_reference_paths`]
-/// swaps to the scalar `Reference` bank for differential testing, and
-/// either bank checkpoints as the same `Vec<RollingStdState>`.
-#[derive(Debug, Clone)]
-enum StdBank {
-    /// One independently allocated window per stream (the original
-    /// scalar layout, kept as the differential-test oracle).
-    Reference(Vec<RollingStd>),
-    /// All streams in one struct-of-arrays bank.
-    Fast(RollingStdBatch),
-}
-
-impl StdBank {
-    fn n_streams(&self) -> usize {
-        match self {
-            StdBank::Reference(v) => v.len(),
-            StdBank::Fast(b) => b.n_streams(),
-        }
-    }
-
-    fn push_row(&mut self, row: &[f64]) {
-        match self {
-            StdBank::Reference(v) => {
-                for (w, &x) in v.iter_mut().zip(row) {
-                    w.push(x);
-                }
-            }
-            StdBank::Fast(b) => b.push_row(row),
-        }
-    }
-
-    fn push_one(&mut self, s: usize, x: f64) {
-        match self {
-            StdBank::Reference(v) => v[s].push(x),
-            StdBank::Fast(b) => b.push_one(s, x),
-        }
-    }
-
-    fn std_dev(&self, s: usize) -> f64 {
-        match self {
-            StdBank::Reference(v) => v[s].std_dev(),
-            StdBank::Fast(b) => b.std_dev(s),
-        }
-    }
-
-    /// Σ std_dev over all streams, folded in stream order from `0.0`
-    /// in both variants (the `s_t` bit pattern depends on it).
-    fn sum_std_devs(&self) -> f64 {
-        match self {
-            StdBank::Reference(v) => v.iter().map(RollingStd::std_dev).sum(),
-            StdBank::Fast(b) => (0..b.n_streams()).map(|s| b.std_dev(s)).sum(),
-        }
-    }
-
-    fn states(&self) -> Vec<RollingStdState> {
-        match self {
-            StdBank::Reference(v) => v.iter().map(RollingStd::state).collect(),
-            StdBank::Fast(b) => b.states(),
-        }
-    }
-}
-
 /// The online movement detector.
 #[derive(Debug, Clone)]
 pub struct MovementDetector {
     params: FadewichParams,
     tick_hz: f64,
-    stream_stds: StdBank,
+    stream_stds: Vec<RollingStd>,
     profile: Vec<f64>,
     threshold: Option<f64>,
     init_ticks: usize,
@@ -194,7 +113,7 @@ impl MovementDetector {
         Ok(MovementDetector {
             params,
             tick_hz,
-            stream_stds: StdBank::Fast(RollingStdBatch::new(n_streams, window_ticks)),
+            stream_stds: (0..n_streams).map(|_| RollingStd::new(window_ticks)).collect(),
             profile: Vec::with_capacity(params.profile_capacity),
             threshold: None,
             init_ticks: (params.profile_init_s * tick_hz).round() as usize,
@@ -225,32 +144,7 @@ impl MovementDetector {
 
     /// Number of monitored streams.
     pub fn n_streams(&self) -> usize {
-        self.stream_stds.n_streams()
-    }
-
-    /// Selects between the struct-of-arrays fast path (the default)
-    /// and the scalar reference path for the per-stream rolling-std
-    /// bank. The two are bit-identical by construction — this switch
-    /// exists so differential and end-to-end pin tests can prove it,
-    /// and so a future regression can be bisected to one layout.
-    ///
-    /// Switching converts the live state through the checkpoint codec,
-    /// which preserves every accumulator bit; it can be flipped
-    /// mid-stream without perturbing subsequent verdicts.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        let states = self.stream_stds.states();
-        self.stream_stds = if reference {
-            StdBank::Reference(
-                states
-                    .iter()
-                    .map(|s| RollingStd::from_state(s).expect("self-exported state is valid"))
-                    .collect(),
-            )
-        } else {
-            StdBank::Fast(
-                RollingStdBatch::from_states(&states).expect("self-exported state is valid"),
-            )
-        };
+        self.stream_stds.len()
     }
 
     /// The current anomaly threshold `ub`, once initialized.
@@ -318,7 +212,7 @@ impl MovementDetector {
     pub fn runtime_state(&self) -> MdRuntimeState {
         MdRuntimeState {
             snapshot: self.snapshot(),
-            stream_stds: self.stream_stds.states(),
+            stream_stds: self.stream_stds.iter().map(RollingStd::state).collect(),
             ticks_seen: self.ticks_seen,
             queue: self.queue.clone(),
             queue_anomalous: self.queue_anomalous,
@@ -356,19 +250,20 @@ impl MovementDetector {
             ));
         }
         let window_ticks = params.std_window_ticks(tick_hz);
-        for (i, s) in state.stream_stds.iter().enumerate() {
-            if s.capacity != window_ticks {
-                return Err(format!(
-                    "stream {i} window capacity {} disagrees with std_window {window_ticks}",
-                    s.capacity
-                ));
-            }
-            RollingStd::from_state(s).map_err(|e| format!("stream {i}: {e}"))?;
-        }
-        let stds = StdBank::Fast(
-            RollingStdBatch::from_states(&state.stream_stds)
-                .expect("entries validated individually above"),
-        );
+        let stds = state
+            .stream_stds
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                if s.capacity != window_ticks {
+                    return Err(format!(
+                        "stream {i} window capacity {} disagrees with std_window {window_ticks}",
+                        s.capacity
+                    ));
+                }
+                RollingStd::from_state(s).map_err(|e| format!("stream {i}: {e}"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         if state.queue.len() >= params.batch_size {
             return Err(format!(
                 "batch queue of {} values should have flushed at {}",
@@ -420,62 +315,8 @@ impl MovementDetector {
     ///
     /// Panics if `row.len() != n_streams()`.
     pub fn step(&mut self, tick: usize, row: &[f64]) -> MdVerdict {
-        assert_eq!(row.len(), self.stream_stds.n_streams(), "stream count mismatch");
+        assert_eq!(row.len(), self.stream_stds.len(), "stream count mismatch");
         self.step_inner(tick, row, None)
-    }
-
-    /// Feeds a block of consecutive ticks (row-major: tick `i` at
-    /// `rows[i*n_streams .. (i+1)*n_streams]`, starting at
-    /// `start_tick`), appending one verdict per tick to `out`.
-    ///
-    /// Semantically identical to calling [`step`](Self::step) per
-    /// tick — verdicts are bit-identical — but the bank's row sweep
-    /// stays hot across the block, which is how the offline/bench
-    /// paths drive the detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of `n_streams()`.
-    pub fn step_batch(&mut self, start_tick: usize, rows: &[f64], out: &mut Vec<MdVerdict>) {
-        let n = self.stream_stds.n_streams();
-        assert_eq!(rows.len() % n, 0, "row block width must be a multiple of the stream count");
-        for (i, row) in rows.chunks_exact(n).enumerate() {
-            out.push(self.step_inner(start_tick + i, row, None));
-        }
-    }
-
-    /// [`step_batch`](Self::step_batch) plus the per-tick window-tracker
-    /// readings a per-tick caller would observe between steps.
-    ///
-    /// The detector advances independently of the controller FSM (no
-    /// feedback), so a whole block of unmasked ticks can run through MD
-    /// first — but the FSM consumes `dW_t` and the open-window start
-    /// *as they stood right after each tick*, and a later tick in the
-    /// block may close or reopen the window. This variant captures
-    /// those readings immediately after each internal step, so the FSM
-    /// can replay them per tick and stay bit-identical to interleaved
-    /// stepping (the streaming engine's batched ingest relies on this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of `n_streams()`.
-    pub fn step_batch_tracked(
-        &mut self,
-        start_tick: usize,
-        rows: &[f64],
-        out: &mut Vec<MdBatchStep>,
-    ) {
-        let n = self.stream_stds.n_streams();
-        assert_eq!(rows.len() % n, 0, "row block width must be a multiple of the stream count");
-        for (i, row) in rows.chunks_exact(n).enumerate() {
-            let tick = start_tick + i;
-            let verdict = self.step_inner(tick, row, None);
-            out.push(MdBatchStep {
-                verdict,
-                open_duration_ticks: self.tracker.open_duration_ticks(tick),
-                open_window_start: self.tracker.open_start(),
-            });
-        }
     }
 
     /// Feeds one tick in which some streams are unavailable (sensor
@@ -494,8 +335,8 @@ impl MovementDetector {
     ///
     /// Panics if `row.len() != n_streams()` or `mask.len() != n_streams()`.
     pub fn step_masked(&mut self, tick: usize, row: &[f64], mask: &[bool]) -> MdVerdict {
-        assert_eq!(row.len(), self.stream_stds.n_streams(), "stream count mismatch");
-        assert_eq!(mask.len(), self.stream_stds.n_streams(), "mask length mismatch");
+        assert_eq!(row.len(), self.stream_stds.len(), "stream count mismatch");
+        assert_eq!(mask.len(), self.stream_stds.len(), "mask length mismatch");
         if mask.iter().any(|&m| m) {
             self.step_inner(tick, row, Some(mask))
         } else {
@@ -505,24 +346,28 @@ impl MovementDetector {
 
     fn step_inner(&mut self, tick: usize, row: &[f64], mask: Option<&[bool]>) -> MdVerdict {
         match mask {
-            None => self.stream_stds.push_row(row),
+            None => {
+                for (w, &x) in self.stream_stds.iter_mut().zip(row) {
+                    w.push(x);
+                }
+            }
             Some(m) => {
-                for (s, (&x, &skip)) in row.iter().zip(m).enumerate() {
+                for ((w, &x), &skip) in self.stream_stds.iter_mut().zip(row).zip(m) {
                     if !skip {
-                        self.stream_stds.push_one(s, x);
+                        w.push(x);
                     }
                 }
             }
         }
         self.ticks_seen += 1;
         let st: f64 = match mask {
-            None => self.stream_stds.sum_std_devs(),
+            None => self.stream_stds.iter().map(RollingStd::std_dev).sum(),
             Some(m) => {
                 let mut sum = 0.0;
                 let mut active = 0usize;
-                for (s, &skip) in m.iter().enumerate() {
+                for (w, &skip) in self.stream_stds.iter().zip(m) {
                     if !skip {
-                        sum += self.stream_stds.std_dev(s);
+                        sum += w.std_dev();
                         active += 1;
                     }
                 }
@@ -532,7 +377,7 @@ impl MovementDetector {
                     let closed_window = self.track(tick, false, 0.0);
                     return MdVerdict { anomalous: false, st: 0.0, closed_window };
                 }
-                sum * self.stream_stds.n_streams() as f64 / active as f64
+                sum * self.stream_stds.len() as f64 / active as f64
             }
         };
 
@@ -1067,62 +912,6 @@ mod tests {
         assert!(MovementDetector::with_snapshot(4, 5.0, p, snap).is_err());
         let snap = MdSnapshot { values: vec![], threshold: Some(2.0) };
         assert!(MovementDetector::with_snapshot(4, 5.0, p, snap).is_err());
-    }
-
-    #[test]
-    fn reference_and_fast_banks_are_bit_identical() {
-        // The scalar reference bank against the default SoA bank over
-        // a day with a burst, masked ticks, and a mid-stream mode flip
-        // that must convert the live state losslessly.
-        let day = synthetic_day(4, 2400, Some((1400, 1460, 2.0)), 21);
-        let mut fast = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut reference = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        reference.set_reference_paths(true);
-        for tick in 0..day.n_ticks() {
-            let row: Vec<f64> = (0..4).map(|s| day.sample(tick, s)).collect();
-            let (a, b) = if tick % 97 == 0 {
-                let mask = [false, true, false, false];
-                (fast.step_masked(tick, &row, &mask), reference.step_masked(tick, &row, &mask))
-            } else {
-                (fast.step(tick, &row), reference.step(tick, &row))
-            };
-            assert_eq!(a.st.to_bits(), b.st.to_bits(), "s_t diverged at tick {tick}");
-            assert_eq!(a, b, "verdict diverged at tick {tick}");
-            if tick == 1200 {
-                // Swap banks on both detectors mid-stream.
-                fast.set_reference_paths(true);
-                reference.set_reference_paths(false);
-            }
-        }
-        assert_eq!(fast.runtime_state(), reference.runtime_state());
-    }
-
-    #[test]
-    fn step_batch_matches_per_tick_step() {
-        let day = synthetic_day(4, 900, Some((500, 540, 2.0)), 22);
-        let mut per_tick = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut batched = MovementDetector::new(4, 5.0, fast_params()).unwrap();
-        let mut expected = Vec::new();
-        let mut flat = Vec::new();
-        for tick in 0..day.n_ticks() {
-            let row: Vec<f64> = (0..4).map(|s| day.sample(tick, s)).collect();
-            expected.push(per_tick.step(tick, &row));
-            flat.extend_from_slice(&row);
-        }
-        let mut got = Vec::new();
-        // Uneven block sizes, including a zero-length block.
-        let mut tick = 0usize;
-        for block in [300usize, 0, 128, 472] {
-            let start = tick * 4;
-            batched.step_batch(tick, &flat[start..start + block * 4], &mut got);
-            tick += block;
-        }
-        assert_eq!(tick, day.n_ticks());
-        assert_eq!(got.len(), expected.len());
-        for (t, (a, b)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(a.st.to_bits(), b.st.to_bits(), "tick {t}");
-            assert_eq!(a, b, "tick {t}");
-        }
     }
 
     #[test]

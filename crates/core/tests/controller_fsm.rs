@@ -246,11 +246,11 @@ fn never_deauthenticates_an_active_workstation() {
 
 #[test]
 fn step_batch_is_bit_identical_to_per_tick_stepping() {
-    // The streaming engine's batched ingest path: MD runs ahead over a
-    // block while the FSM replays per tick against captured window
-    // readings. Every action (kind, workstation, timestamp bits) and
-    // the final FSM state must match per-tick stepping exactly, for
-    // block boundaries landing before/inside/after windows.
+    // `step_batch` is a block-at-a-time loop over `step`: per-tick
+    // action counts, block totals, every action (kind, workstation,
+    // timestamp bits) and the final FSM state must match per-tick
+    // stepping exactly, for block boundaries landing
+    // before/inside/after windows.
     let re = fixed_re();
     let inputs = departure_inputs(2000);
     let n_ticks = 2400usize;

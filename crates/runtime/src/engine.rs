@@ -330,23 +330,7 @@ pub struct StreamingEngine<'a> {
     /// deterministic. Never consulted on any decision path.
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
-    /// Row-major block of consecutive *unmasked* ticks awaiting a
-    /// batched controller advance ([`Controller::step_batch`]). Always
-    /// flushed before a public call returns, so every externally
-    /// observable state — counters, actions, events, snapshots — is
-    /// exactly what per-tick stepping would have produced.
-    batch_rows: Vec<f64>,
-    /// First tick of the pending batch (meaningful only while
-    /// `batch_rows` is non-empty).
-    batch_start: u64,
-    /// Scratch for the per-tick action counts of a flushed batch.
-    batch_counts: Vec<usize>,
 }
-
-/// Upper bound on buffered ticks per batched controller advance; keeps
-/// the tail-padding path in [`StreamingEngine::finish`] from staging an
-/// entire lost day in memory at once.
-const MAX_BATCH_TICKS: usize = 1024;
 
 impl<'a> StreamingEngine<'a> {
     /// Builds an engine for an all-RSSI deployment described by the
@@ -419,9 +403,6 @@ impl<'a> StreamingEngine<'a> {
             clock: Arc::new(WallClock),
             telemetry: Telemetry::disabled(),
             groups,
-            batch_rows: Vec::new(),
-            batch_start: 0,
-            batch_counts: Vec::new(),
         })
     }
 
@@ -467,15 +448,6 @@ impl<'a> StreamingEngine<'a> {
     /// consulted on a decision path.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
         self.clock = clock;
-    }
-
-    /// Switches the core pipeline between the optimized batched hot
-    /// paths (default) and the original scalar reference paths; see
-    /// [`Controller::set_reference_paths`]. Decisions, events and
-    /// checkpoints are bit-identical either way — the e2e pin test in
-    /// `tests/parity.rs` holds the two runs byte-equal.
-    pub fn set_reference_paths(&mut self, reference: bool) {
-        self.controller.set_reference_paths(reference);
     }
 
     /// Switches the engine into **authenticated mode**: from here on,
@@ -524,7 +496,7 @@ impl<'a> StreamingEngine<'a> {
                     let frame = self.authenticate(&view).then(|| view.to_frame());
                     bytes = &bytes[used..];
                     if let Some(frame) = frame {
-                        self.ingest_frame_inner(frame);
+                        self.ingest_frame(frame);
                     }
                 }
                 Err(WireError::BadChecksum { .. }) => {
@@ -538,16 +510,6 @@ impl<'a> StreamingEngine<'a> {
                 }
             }
         }
-        self.flush_batch();
-    }
-
-    /// Feeds one already-decoded frame. This is the **trusted** path —
-    /// a [`Frame`] carries no MAC, so no verification happens here;
-    /// untrusted wire input must come through
-    /// [`StreamingEngine::ingest_bytes`].
-    pub fn ingest_frame(&mut self, frame: Frame) {
-        self.ingest_frame_inner(frame);
-        self.flush_batch();
     }
 
     /// Authentication gate for one wire frame. Legacy mode: v1–v3 pass
@@ -618,7 +580,11 @@ impl<'a> StreamingEngine<'a> {
         self.auth_state[sender] = st;
     }
 
-    fn ingest_frame_inner(&mut self, frame: Frame) {
+    /// Feeds one already-decoded frame. This is the **trusted** path —
+    /// a [`Frame`] carries no MAC, so no verification happens here;
+    /// untrusted wire input must come through
+    /// [`StreamingEngine::ingest_bytes`].
+    pub fn ingest_frame(&mut self, frame: Frame) {
         // Sensor ids are namespaced per channel kind, so the lookup
         // keys on the (kind, sensor) pair.
         let Some(sender) = self
@@ -661,17 +627,9 @@ impl<'a> StreamingEngine<'a> {
             self.process_tick(b.tick, &b.reports);
         }
         let empty: Vec<Option<Vec<f32>>> = vec![None; self.groups.len()];
-        while self.ticks_ingested() < expected_ticks {
-            let tick = self.ticks_ingested();
-            self.process_tick(tick, &empty);
+        while self.counters.ticks_processed < expected_ticks {
+            self.process_tick(self.counters.ticks_processed, &empty);
         }
-        self.flush_batch();
-    }
-
-    /// Ticks the pipeline has consumed, counting those still staged in
-    /// the pending batch.
-    fn ticks_ingested(&self) -> u64 {
-        self.counters.ticks_processed + (self.batch_rows.len() / self.n_streams) as u64
     }
 
     fn absorb_reorder_events(&mut self) {
@@ -714,7 +672,6 @@ impl<'a> StreamingEngine<'a> {
     }
 
     fn process_tick(&mut self, tick: u64, reports: &[Option<Vec<f32>>]) {
-        let mut any_masked = false;
         for (sender, g) in self.groups.iter().enumerate() {
             match &reports[sender] {
                 Some(values) => {
@@ -739,7 +696,6 @@ impl<'a> StreamingEngine<'a> {
                             _ => {
                                 self.row[pos] = self.last_value[pos];
                                 self.mask[pos] = true;
-                                any_masked = true;
                                 self.counters.masked_stream_ticks += 1;
                                 self.counters.channel_mut(g.kind).masked_stream_ticks += 1;
                             }
@@ -750,89 +706,25 @@ impl<'a> StreamingEngine<'a> {
         }
         self.counters.watermark_lag_max =
             self.counters.watermark_lag_max.max(self.reorder.max_watermark_lag());
-        if self.n_rssi < self.n_streams {
-            // Typed path: the RSSI prefix steps MD/RE per tick (masked
-            // or not), then the light suffix feeds the detector bank.
-            // Batching is a pure-RSSI optimization; a fused layout
-            // takes the per-tick path so light observations interleave
-            // with RF steps in tick order.
-            let t0 = self.clock.now_ns();
-            let n_rf = self.controller.step_masked(
-                tick as usize,
-                &self.row[..self.n_rssi],
-                &self.mask[..self.n_rssi],
-            );
-            let n_light = self.controller.observe_light(
-                tick as usize,
-                &self.row[self.n_rssi..],
-                &self.mask[self.n_rssi..],
-            );
-            self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
-            self.counters.ticks_processed += 1;
-            let actions = self.controller.actions();
-            for action in &actions[actions.len() - (n_rf + n_light)..] {
-                self.events.push(EngineEvent::Decision { tick, action: *action });
-            }
-            return;
-        }
-        if !any_masked {
-            // Hot path: stage the tick for a batched controller advance
-            // (MD sweeps the whole block, FSM replays per tick —
-            // bit-identical, see `Controller::step_batch`). Flushed at
-            // the latest when the enclosing public call returns.
-            if !self.batch_rows.is_empty()
-                && tick != self.batch_start + (self.batch_rows.len() / self.n_streams) as u64
-            {
-                self.flush_batch();
-            }
-            if self.batch_rows.is_empty() {
-                self.batch_start = tick;
-            }
-            self.batch_rows.extend_from_slice(&self.row);
-            if self.batch_rows.len() / self.n_streams >= MAX_BATCH_TICKS {
-                self.flush_batch();
-            }
-            return;
-        }
-        // Degraded tick: advance everything staged before it, then take
-        // the per-tick masked path.
-        self.flush_batch();
-        let controller = &mut self.controller;
-        let (row, mask) = (&self.row, &self.mask);
+        // The RSSI prefix steps MD/RE, then the light suffix (empty in
+        // an all-RSSI layout) feeds the detector bank, so light
+        // observations interleave with RF steps in tick order.
         let t0 = self.clock.now_ns();
-        let n_new = controller.step_masked(tick as usize, row, mask);
+        let n_rf = self.controller.step_masked(
+            tick as usize,
+            &self.row[..self.n_rssi],
+            &self.mask[..self.n_rssi],
+        );
+        let n_light = self.controller.observe_light(
+            tick as usize,
+            &self.row[self.n_rssi..],
+            &self.mask[self.n_rssi..],
+        );
         self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
         self.counters.ticks_processed += 1;
         let actions = self.controller.actions();
-        for action in &actions[actions.len() - n_new..] {
+        for action in &actions[actions.len() - (n_rf + n_light)..] {
             self.events.push(EngineEvent::Decision { tick, action: *action });
-        }
-    }
-
-    /// Runs the controller over the staged block of unmasked ticks and
-    /// attributes the emitted actions back to their ticks.
-    fn flush_batch(&mut self) {
-        if self.batch_rows.is_empty() {
-            return;
-        }
-        let n_ticks = self.batch_rows.len() / self.n_streams;
-        self.batch_counts.clear();
-        let rows = std::mem::take(&mut self.batch_rows);
-        let t0 = self.clock.now_ns();
-        let total =
-            self.controller.step_batch(self.batch_start as usize, &rows, &mut self.batch_counts);
-        self.counters.step.record_ns(self.clock.now_ns().saturating_sub(t0));
-        self.batch_rows = rows;
-        self.batch_rows.clear();
-        self.counters.ticks_processed += n_ticks as u64;
-        let actions = self.controller.actions();
-        let mut next = actions.len() - total;
-        for (i, &count) in self.batch_counts.iter().enumerate() {
-            let tick = self.batch_start + i as u64;
-            for action in &actions[next..next + count] {
-                self.events.push(EngineEvent::Decision { tick, action: *action });
-            }
-            next += count;
         }
     }
 
@@ -1020,9 +912,6 @@ impl<'a> StreamingEngine<'a> {
             clock: Arc::new(WallClock),
             telemetry: Telemetry::disabled(),
             groups,
-            batch_rows: Vec::new(),
-            batch_start: 0,
-            batch_counts: Vec::new(),
         })
     }
 }

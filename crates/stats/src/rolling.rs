@@ -126,7 +126,10 @@ impl RollingStd {
             self.len += 1;
         }
         self.buf[self.head] = x;
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
         let d = x - self.offset;
         self.sum += d;
         self.sum_sq += d * d;
@@ -273,288 +276,6 @@ impl RollingStd {
         w.pushes = state.pushes;
         w.non_finite = state.non_finite;
         Ok(w)
-    }
-}
-
-/// A bank of rolling-std windows in struct-of-arrays layout.
-///
-/// MD maintains one [`RollingStd`] per RSSI stream and pushes one
-/// sample into each of them every tick. With `m×(m−1)` streams that
-/// loop walks `m×(m−1)` separately-allocated ring buffers and scalar
-/// accumulator structs; this bank stores all the rings in one
-/// stream-major buffer and all the accumulators in parallel arrays, so
-/// the per-tick [`RollingStdBatch::push_row`] sweep is a branch-light
-/// pass over contiguous memory the compiler can vectorize.
-///
-/// **Bit-identity contract:** for every stream, every operation
-/// replicates [`RollingStd`]'s floating-point arithmetic op-for-op —
-/// offset initialization on the first sample, eviction, the non-finite
-/// hold-last guard, and the per-stream periodic recompute at the same
-/// `pushes` phase. Feeding the same per-stream sample sequence into a
-/// bank and into a `Vec<RollingStd>` yields bit-identical `std_dev`,
-/// `mean`, and exported [`RollingStdState`]s. Differential tests in
-/// `crates/stats/tests/` pin this.
-///
-/// Streams may advance independently (the MD masked path pushes only
-/// delivered streams), so `head`/`len`/`pushes` are per-stream. A
-/// uniformity flag tracks the common case where every push arrived via
-/// `push_row`, enabling a fused fast path.
-#[derive(Debug, Clone)]
-pub struct RollingStdBatch {
-    n_streams: usize,
-    capacity: usize,
-    /// Stream-major ring storage: stream `s` occupies
-    /// `buf[s*capacity .. (s+1)*capacity]`.
-    buf: Vec<f64>,
-    head: Vec<usize>,
-    len: Vec<usize>,
-    offset: Vec<f64>,
-    sum: Vec<f64>,
-    sum_sq: Vec<f64>,
-    pushes: Vec<u64>,
-    non_finite: Vec<u64>,
-    /// True while all streams share identical head/len/pushes (no
-    /// masked single-stream pushes yet), gating the fused row path.
-    uniform: bool,
-}
-
-impl RollingStdBatch {
-    /// Creates a bank of `n_streams` windows of the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_streams == 0` or `capacity == 0`.
-    pub fn new(n_streams: usize, capacity: usize) -> Self {
-        assert!(n_streams > 0, "rolling bank needs at least one stream");
-        assert!(capacity > 0, "rolling window capacity must be positive");
-        RollingStdBatch {
-            n_streams,
-            capacity,
-            buf: vec![0.0; n_streams * capacity],
-            head: vec![0; n_streams],
-            len: vec![0; n_streams],
-            offset: vec![0.0; n_streams],
-            sum: vec![0.0; n_streams],
-            sum_sq: vec![0.0; n_streams],
-            pushes: vec![0; n_streams],
-            non_finite: vec![0; n_streams],
-            uniform: true,
-        }
-    }
-
-    /// Number of streams in the bank.
-    pub fn n_streams(&self) -> usize {
-        self.n_streams
-    }
-
-    /// Per-stream window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of samples currently held for stream `s`.
-    pub fn len(&self, s: usize) -> usize {
-        self.len[s]
-    }
-
-    /// Whether no stream has received a sample yet.
-    pub fn is_empty(&self) -> bool {
-        self.len.iter().all(|&l| l == 0)
-    }
-
-    /// Cumulative non-finite samples replaced on stream `s`.
-    pub fn non_finite_count(&self, s: usize) -> u64 {
-        self.non_finite[s]
-    }
-
-    /// Pushes one sample into every stream (`row[s]` → stream `s`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != n_streams`.
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.n_streams, "row width must match stream count");
-        // Fused path: all streams in lockstep, every window full, all
-        // samples finite, and this push does not land on a recompute
-        // boundary. One shared head/len/pushes update, and an inner
-        // loop with no branches over contiguous stream-major slots —
-        // per-stream float ops in exactly RollingStd::push's order.
-        if self.uniform
-            && self.len[0] == self.capacity
-            && (self.pushes[0] + 1) % RECOMPUTE_EVERY != 0
-            && row.iter().all(|x| x.is_finite())
-        {
-            let head = self.head[0];
-            let cap = self.capacity;
-            for (s, &x) in row.iter().enumerate() {
-                let slot = s * cap + head;
-                let old = self.buf[slot] - self.offset[s];
-                self.sum[s] -= old;
-                self.sum_sq[s] -= old * old;
-                self.buf[slot] = x;
-                let d = x - self.offset[s];
-                self.sum[s] += d;
-                self.sum_sq[s] += d * d;
-            }
-            let new_head = (head + 1) % cap;
-            let new_pushes = self.pushes[0] + 1;
-            self.head.fill(new_head);
-            self.pushes.fill(new_pushes);
-            return;
-        }
-        for (s, &x) in row.iter().enumerate() {
-            self.push_scalar(s, x);
-        }
-    }
-
-    /// Pushes one sample into stream `s` only (the masked-delivery
-    /// path). After the first single-stream push the streams are no
-    /// longer in lockstep and `push_row` takes the per-stream path.
-    pub fn push_one(&mut self, s: usize, x: f64) {
-        self.uniform = false;
-        self.push_scalar(s, x);
-    }
-
-    /// One push into stream `s`, replicating [`RollingStd::push`]
-    /// bit-for-bit.
-    fn push_scalar(&mut self, s: usize, x: f64) {
-        let cap = self.capacity;
-        let base = s * cap;
-        let x = if x.is_finite() {
-            x
-        } else {
-            self.non_finite[s] += 1;
-            if self.len[s] == 0 {
-                0.0
-            } else {
-                self.buf[base + (self.head[s] + cap - 1) % cap]
-            }
-        };
-        if self.len[s] == 0 {
-            self.offset[s] = x;
-        }
-        if self.len[s] == cap {
-            let old = self.buf[base + self.head[s]] - self.offset[s];
-            self.sum[s] -= old;
-            self.sum_sq[s] -= old * old;
-        } else {
-            self.len[s] += 1;
-        }
-        self.buf[base + self.head[s]] = x;
-        self.head[s] = (self.head[s] + 1) % cap;
-        let d = x - self.offset[s];
-        self.sum[s] += d;
-        self.sum_sq[s] += d * d;
-        self.pushes[s] += 1;
-        if self.pushes[s] % RECOMPUTE_EVERY == 0 {
-            self.recompute(s);
-        }
-    }
-
-    /// Re-centers stream `s`, replicating [`RollingStd`]'s private
-    /// `recompute` (newest-to-oldest rebuild) bit-for-bit.
-    fn recompute(&mut self, s: usize) {
-        let cap = self.capacity;
-        let base = s * cap;
-        self.offset[s] += if self.len[s] > 0 { self.sum[s] / self.len[s] as f64 } else { 0.0 };
-        self.sum[s] = 0.0;
-        self.sum_sq[s] = 0.0;
-        for i in 0..self.len[s] {
-            let d = self.buf[base + (self.head[s] + cap - 1 - i) % cap] - self.offset[s];
-            self.sum[s] += d;
-            self.sum_sq[s] += d * d;
-        }
-    }
-
-    /// Mean of stream `s`'s window (`0.0` when empty).
-    pub fn mean(&self, s: usize) -> f64 {
-        if self.len[s] == 0 {
-            0.0
-        } else {
-            self.offset[s] + self.sum[s] / self.len[s] as f64
-        }
-    }
-
-    /// Population variance of stream `s`'s window (`0.0` when empty),
-    /// clamped at zero exactly like [`RollingStd::variance`].
-    pub fn variance(&self, s: usize) -> f64 {
-        if self.len[s] == 0 {
-            return 0.0;
-        }
-        let n = self.len[s] as f64;
-        let m = self.sum[s] / n;
-        (self.sum_sq[s] / n - m * m).max(0.0)
-    }
-
-    /// Population standard deviation of stream `s`'s window.
-    pub fn std_dev(&self, s: usize) -> f64 {
-        self.variance(s).sqrt()
-    }
-
-    /// Exports every stream's state, index-aligned with the streams.
-    /// Each entry is exactly what the equivalent [`RollingStd`] would
-    /// export, so a bank checkpoints through the same codec.
-    pub fn states(&self) -> Vec<RollingStdState> {
-        (0..self.n_streams)
-            .map(|s| {
-                let cap = self.capacity;
-                let base = s * cap;
-                let mut samples = Vec::with_capacity(self.len[s]);
-                for i in 0..self.len[s] {
-                    samples.push(self.buf[base + (self.head[s] + cap - self.len[s] + i) % cap]);
-                }
-                RollingStdState {
-                    capacity: cap,
-                    samples,
-                    offset: self.offset[s],
-                    sum: self.sum[s],
-                    sum_sq: self.sum_sq[s],
-                    pushes: self.pushes[s],
-                    non_finite: self.non_finite[s],
-                }
-            })
-            .collect()
-    }
-
-    /// Rebuilds a bank from per-stream states (the inverse of
-    /// [`RollingStdBatch::states`], validating each entry exactly like
-    /// [`RollingStd::from_state`]).
-    ///
-    /// The restored bank takes the per-stream path until the windows
-    /// are observed back in lockstep, which the arithmetic cannot
-    /// distinguish from the fused path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when `states` is empty, capacities
-    /// disagree, or any entry is internally inconsistent.
-    pub fn from_states(states: &[RollingStdState]) -> Result<RollingStdBatch, String> {
-        if states.is_empty() {
-            return Err("rolling bank needs at least one stream".to_string());
-        }
-        let capacity = states[0].capacity;
-        if states.iter().any(|st| st.capacity != capacity) {
-            return Err("rolling bank streams must share one capacity".to_string());
-        }
-        // Validate through the scalar restore so both paths reject the
-        // same states, then transplant the canonicalized layout.
-        let mut bank = RollingStdBatch::new(states.len(), capacity);
-        for (s, st) in states.iter().enumerate() {
-            let w = RollingStd::from_state(st)?;
-            let base = s * capacity;
-            bank.buf[base..base + capacity].copy_from_slice(&w.buf);
-            bank.head[s] = w.head;
-            bank.len[s] = w.len;
-            bank.offset[s] = w.offset;
-            bank.sum[s] = w.sum;
-            bank.sum_sq[s] = w.sum_sq;
-            bank.pushes[s] = w.pushes;
-            bank.non_finite[s] = w.non_finite;
-        }
-        bank.uniform = bank.head.iter().all(|&h| h == bank.head[0])
-            && bank.len.iter().all(|&l| l == bank.len[0])
-            && bank.pushes.iter().all(|&p| p == bank.pushes[0]);
-        Ok(bank)
     }
 }
 
@@ -942,94 +663,6 @@ mod tests {
             total: 9
         })
         .is_err());
-    }
-
-    #[test]
-    fn batch_matches_scalar_bit_for_bit_on_row_pushes() {
-        let mut rng = Rng::seed_from_u64(11);
-        let n = 6;
-        let mut scalars: Vec<RollingStd> = (0..n).map(|_| RollingStd::new(10)).collect();
-        let mut bank = RollingStdBatch::new(n, 10);
-        let mut row = vec![0.0; n];
-        // Long enough to cross the RECOMPUTE_EVERY boundary, with
-        // occasional non-finite samples exercising the hold-last guard.
-        for tick in 0..(RECOMPUTE_EVERY as usize + 200) {
-            for slot in row.iter_mut() {
-                *slot = rng.normal_with(-48.0, 2.5);
-            }
-            if tick % 97 == 13 {
-                row[tick % n] = f64::NAN;
-            }
-            for (s, w) in scalars.iter_mut().enumerate() {
-                w.push(row[s]);
-            }
-            bank.push_row(&row);
-            for (s, w) in scalars.iter().enumerate() {
-                assert_eq!(w.std_dev().to_bits(), bank.std_dev(s).to_bits(), "tick {tick} stream {s}");
-                assert_eq!(w.mean().to_bits(), bank.mean(s).to_bits());
-            }
-        }
-        for (s, w) in scalars.iter().enumerate() {
-            assert_eq!(w.state(), bank.states()[s]);
-        }
-    }
-
-    #[test]
-    fn batch_masked_pushes_match_scalar() {
-        let mut rng = Rng::seed_from_u64(12);
-        let n = 4;
-        let mut scalars: Vec<RollingStd> = (0..n).map(|_| RollingStd::new(7)).collect();
-        let mut bank = RollingStdBatch::new(n, 7);
-        for tick in 0..500 {
-            for s in 0..n {
-                // Irregular per-stream delivery pattern.
-                if (tick + s) % (s + 2) != 0 {
-                    let x = rng.normal_with(-50.0, 1.5);
-                    scalars[s].push(x);
-                    bank.push_one(s, x);
-                }
-            }
-            for (s, w) in scalars.iter().enumerate() {
-                assert_eq!(w.std_dev().to_bits(), bank.std_dev(s).to_bits(), "tick {tick} stream {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_state_round_trips_through_scalar_states() {
-        let mut rng = Rng::seed_from_u64(13);
-        let mut bank = RollingStdBatch::new(3, 5);
-        let mut row = vec![0.0; 3];
-        for _ in 0..40 {
-            for slot in row.iter_mut() {
-                *slot = rng.normal_with(-48.0, 2.5);
-            }
-            bank.push_row(&row);
-        }
-        let restored = RollingStdBatch::from_states(&bank.states()).unwrap();
-        assert_eq!(restored.states(), bank.states());
-        let mut a = bank;
-        let mut b = restored;
-        for _ in 0..40 {
-            for slot in row.iter_mut() {
-                *slot = rng.normal_with(-48.0, 2.5);
-            }
-            a.push_row(&row);
-            b.push_row(&row);
-            for s in 0..3 {
-                assert_eq!(a.std_dev(s).to_bits(), b.std_dev(s).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_from_states_rejects_inconsistencies() {
-        assert!(RollingStdBatch::from_states(&[]).is_err());
-        let good = RollingStd::new(4).state();
-        let other_cap = RollingStd::new(5).state();
-        assert!(RollingStdBatch::from_states(&[good.clone(), other_cap]).is_err());
-        let bad = RollingStdState { samples: vec![f64::NAN], pushes: 1, ..good.clone() };
-        assert!(RollingStdBatch::from_states(&[good, bad]).is_err());
     }
 
     #[test]

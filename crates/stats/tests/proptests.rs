@@ -5,7 +5,7 @@ use fadewich_stats::histogram::Histogram;
 use fadewich_stats::kde::GaussianKde;
 use fadewich_stats::metrics::DetectionCounts;
 use fadewich_stats::rmi::relative_mutual_information;
-use fadewich_stats::rolling::{HistoryBuffer, RollingStd, RollingStdBatch};
+use fadewich_stats::rolling::{HistoryBuffer, RollingStd};
 use fadewich_testkit::prop::{f64s, u32s, u64s, usizes, vecs, F64Range, VecStrategy};
 
 fn finite_vec(max_len: usize) -> VecStrategy<F64Range> {
@@ -203,97 +203,7 @@ fadewich_testkit::property! {
     }
 }
 
-// Differential pins for the struct-of-arrays rolling-std bank: the
-// fast path must agree with the scalar reference **bit for bit**
-// (`to_bits`), not merely within epsilon — the controller's `s_t`
-// threshold comparisons and checkpoint round-trips depend on exact
-// bit patterns. Shrinking narrows any counterexample to the minimal
-// push sequence.
 fadewich_testkit::property! {
-    // Uniform row pushes, with occasional NaN/∞ samples exercising
-    // the hold-last guard, against independently fed scalar windows.
-    #[cases(96)]
-    fn rolling_std_batch_rows_are_bit_identical_to_scalar(
-        xs in vecs(f64s(-1e4..1e4), 1..300),
-        n_streams in usizes(1..6),
-        cap in usizes(2..40),
-        seed in u64s(0..1 << 32),
-    ) {
-        let mut rng = fadewich_stats::rng::Rng::seed_from_u64(seed);
-        let mut batch = RollingStdBatch::new(n_streams, cap);
-        let mut scalars: Vec<RollingStd> =
-            (0..n_streams).map(|_| RollingStd::new(cap)).collect();
-        let mut row = vec![0.0; n_streams];
-        for &x in &xs {
-            for (s, slot) in row.iter_mut().enumerate() {
-                *slot = match rng.below(24) {
-                    0 => f64::NAN,
-                    1 => f64::NEG_INFINITY,
-                    _ => x + s as f64 + rng.f64(),
-                };
-            }
-            batch.push_row(&row);
-            for (w, &v) in scalars.iter_mut().zip(&row) {
-                w.push(v);
-            }
-            for (s, w) in scalars.iter().enumerate() {
-                assert_eq!(batch.std_dev(s).to_bits(), w.std_dev().to_bits());
-                assert_eq!(batch.mean(s).to_bits(), w.mean().to_bits());
-                assert_eq!(batch.variance(s).to_bits(), w.variance().to_bits());
-                assert_eq!(batch.non_finite_count(s), w.non_finite_count());
-            }
-        }
-        // The exported state — the checkpoint representation — agrees
-        // field-for-field as well.
-        let states = batch.states();
-        for (s, w) in scalars.iter().enumerate() {
-            assert_eq!(states[s], w.state());
-        }
-    }
-
-    // Masked delivery: per-stream pushes desynchronize the streams
-    // (the engine masks quarantined sensors), forcing the bank off its
-    // fused fast path. Still bit-identical, and the state round-trips
-    // back into a bank that continues bit-identically.
-    #[cases(96)]
-    fn rolling_std_batch_masked_pushes_stay_bit_identical(
-        xs in vecs(f64s(-1e4..1e4), 1..300),
-        n_streams in usizes(1..6),
-        cap in usizes(2..40),
-        seed in u64s(0..1 << 32),
-    ) {
-        let mut rng = fadewich_stats::rng::Rng::seed_from_u64(seed);
-        let mut batch = RollingStdBatch::new(n_streams, cap);
-        let mut scalars: Vec<RollingStd> =
-            (0..n_streams).map(|_| RollingStd::new(cap)).collect();
-        for &x in &xs {
-            for s in 0..n_streams {
-                if rng.below(5) == 0 {
-                    continue; // masked this tick
-                }
-                let v = if rng.below(31) == 0 { f64::NAN } else { x + s as f64 + rng.f64() };
-                batch.push_one(s, v);
-                scalars[s].push(v);
-            }
-            for (s, w) in scalars.iter().enumerate() {
-                assert_eq!(batch.std_dev(s).to_bits(), w.std_dev().to_bits());
-            }
-        }
-        let restored = RollingStdBatch::from_states(&batch.states()).unwrap();
-        for (s, w) in scalars.iter_mut().enumerate() {
-            assert_eq!(restored.std_dev(s).to_bits(), w.std_dev().to_bits());
-        }
-        let mut batch = restored;
-        for i in 0..20u64 {
-            let v = -60.0 + i as f64;
-            for (s, w) in scalars.iter_mut().enumerate() {
-                batch.push_one(s, v);
-                w.push(v);
-                assert_eq!(batch.std_dev(s).to_bits(), w.std_dev().to_bits());
-            }
-        }
-    }
-
     // `range_into` is the allocation-free twin of `range`: identical
     // samples, identical availability verdicts, across arbitrary
     // eviction depths.

@@ -47,40 +47,6 @@ impl Kernel {
             }
         }
     }
-
-    /// Accumulates `acc[r] += coeff * eval(z, rows[r])` for every row
-    /// of a flat row-major matrix (`rows.len() == dim * acc.len()`).
-    ///
-    /// This is the cache-friendly inner loop of batched SVM decision
-    /// evaluation: one support vector `z` stays hot while the rows
-    /// stream past, with the kernel dispatched once per call instead
-    /// of once per pair. Per `(z, row)` pair the floating-point
-    /// operation sequence is exactly that of
-    /// `coeff * eval(z, row)` followed by a `+=` into the
-    /// accumulator, so batched decisions built from these calls are
-    /// bit-identical to scalar ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z.len() != dim` or `rows.len() != dim * acc.len()`.
-    pub fn accumulate_rows(&self, z: &[f64], coeff: f64, rows: &[f64], dim: usize, acc: &mut [f64]) {
-        assert_eq!(z.len(), dim, "kernel arguments must have equal dimension");
-        assert_eq!(rows.len(), dim * acc.len(), "row matrix must be dim × acc.len()");
-        match *self {
-            Kernel::Linear => {
-                for (a, row) in acc.iter_mut().zip(rows.chunks_exact(dim)) {
-                    let k: f64 = z.iter().zip(row).map(|(p, q)| p * q).sum();
-                    *a += coeff * k;
-                }
-            }
-            Kernel::Rbf { gamma } => {
-                for (a, row) in acc.iter_mut().zip(rows.chunks_exact(dim)) {
-                    let sq: f64 = z.iter().zip(row).map(|(p, q)| (p - q) * (p - q)).sum();
-                    *a += coeff * (-gamma * sq).exp();
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,30 +101,5 @@ mod tests {
     #[should_panic(expected = "equal dimension")]
     fn dimension_mismatch_panics() {
         Kernel::Linear.eval(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn accumulate_rows_matches_scalar_eval_bitwise() {
-        let rows = [0.3, -1.2, 2.5, 0.0, 4.4, -0.7]; // 3 rows × dim 2
-        let z = [1.1, -0.4];
-        for k in [Kernel::Linear, Kernel::Rbf { gamma: 0.8 }] {
-            let mut acc = [10.0, -3.0, 0.25];
-            let expected: Vec<f64> = acc
-                .iter()
-                .zip(rows.chunks_exact(2))
-                .map(|(a, row)| a + 2.5 * k.eval(&z, row))
-                .collect();
-            k.accumulate_rows(&z, 2.5, &rows, 2, &mut acc);
-            for (got, want) in acc.iter().zip(&expected) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "dim × acc.len()")]
-    fn accumulate_rows_rejects_misaligned_matrix() {
-        let mut acc = [0.0; 2];
-        Kernel::Linear.accumulate_rows(&[1.0], 1.0, &[1.0, 2.0, 3.0], 1, &mut acc);
     }
 }

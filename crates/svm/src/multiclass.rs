@@ -261,72 +261,6 @@ impl MultiClassSvm {
         Self::winner(&self.classes, &scratch.votes, &scratch.margin)
     }
 
-    /// Predicts a batch of samples.
-    ///
-    /// Evaluated machine-major over a flat row matrix: each support
-    /// vector is scored against all rows while it is hot in cache
-    /// ([`Kernel::accumulate_rows`]), instead of re-walking every
-    /// machine's support vectors per sample. Per `(machine, row)` pair
-    /// the accumulator applies the same floating-point operations in
-    /// the same order as [`BinarySvm::decision`], and votes/margins
-    /// tally per row in machine order exactly as in
-    /// [`predict_with_margins`](Self::predict_with_margins), so the
-    /// labels are bit-identical to mapping [`predict`](Self::predict)
-    /// over the rows — a differential test suite pins this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row has the wrong dimension.
-    pub fn predict_batch<R: AsRef<[f64]>>(&self, xs: &[R]) -> Vec<usize> {
-        let n = xs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let dim = self.scaler.n_features();
-        let mut flat = Vec::with_capacity(n * dim);
-        for x in xs {
-            let x = x.as_ref();
-            assert_eq!(x.len(), dim, "feature row dimension disagrees with scaler");
-            flat.extend_from_slice(x);
-        }
-        for row in flat.chunks_exact_mut(dim) {
-            self.scaler.transform_row(row);
-        }
-        let max_class = *self.classes.last().expect("at least two classes") + 1;
-        let mut votes = vec![0usize; n * max_class];
-        let mut margin = vec![0.0f64; n * max_class];
-        let mut dec = vec![0.0f64; n];
-        for (ca, cb, svm) in &self.machines {
-            dec.fill(0.0);
-            let kernel = svm.kernel();
-            for (&c, sv) in svm.coefficients().iter().zip(svm.support_vectors()) {
-                kernel.accumulate_rows(sv, c, &flat, dim, &mut dec);
-            }
-            let bias = svm.bias();
-            for (r, d) in dec.iter_mut().enumerate() {
-                *d += bias;
-                let base = r * max_class;
-                if *d >= 0.0 {
-                    votes[base + ca] += 1;
-                    margin[base + ca] += *d;
-                } else {
-                    votes[base + cb] += 1;
-                    margin[base + cb] += -*d;
-                }
-            }
-        }
-        (0..n)
-            .map(|r| {
-                let base = r * max_class;
-                Self::winner(
-                    &self.classes,
-                    &votes[base..base + max_class],
-                    &margin[base..base + max_class],
-                )
-            })
-            .collect()
-    }
-
     /// Accuracy against ground-truth labels.
     ///
     /// # Panics
@@ -570,7 +504,9 @@ mod tests {
             &mut r2,
         )
         .unwrap();
-        assert_eq!(owned.predict_batch(&views), borrowed.predict_batch(&xs));
+        for (x, v) in xs.iter().zip(&views) {
+            assert_eq!(owned.predict(v), borrowed.predict(x));
+        }
     }
 
     #[test]
@@ -586,7 +522,9 @@ mod tests {
             svm.scaler().clone(),
         )
         .unwrap();
-        assert_eq!(back.predict_batch(&xs), svm.predict_batch(&xs));
+        for x in &xs {
+            assert_eq!(back.predict(x), svm.predict(x));
+        }
     }
 
     #[test]
@@ -622,25 +560,6 @@ mod tests {
                 .unwrap_err(),
             TrainError::InvalidModel("support vector dimension disagrees with scaler")
         );
-    }
-
-    #[test]
-    fn predict_batch_matches_per_row_predict() {
-        // The machine-major batched evaluator against the scalar
-        // reference, both kernels, including points near the blob
-        // boundaries where a single flipped decision bit would change
-        // the vote.
-        let (xs, ys) = blobs(20, 57);
-        for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.5 }] {
-            let mut rng = Rng::seed_from_u64(10);
-            let svm = MultiClassSvm::train(&xs, &ys, kernel, SmoParams::default(), &mut rng).unwrap();
-            let batch = svm.predict_batch(&xs);
-            for (x, &b) in xs.iter().zip(&batch) {
-                assert_eq!(svm.predict(x), b);
-            }
-            let empty: Vec<Vec<f64>> = Vec::new();
-            assert!(svm.predict_batch(&empty).is_empty());
-        }
     }
 
     #[test]

@@ -97,15 +97,15 @@ fadewich_testkit::property! {
     }
 }
 
-// Differential pins for the batched prediction path: for any trained
-// ensemble and any batch of (finite) feature rows, `predict_batch`
-// and the scratch-reusing `predict_into` must agree with the scalar
-// per-row `predict` on every row — same labels from the same
-// bit-exact decision values, under both kernels. Shrinking reduces a
-// counterexample to the smallest diverging batch.
+// The Rule 1 prediction paths: for any trained ensemble and any
+// (finite) feature rows, the scratch-reusing `predict_into` and the
+// audited `predict_with_margins` must agree with the plain `predict`
+// on every row — same labels from the same bit-exact decision values,
+// under both kernels. Shrinking reduces a counterexample to the
+// smallest diverging set of rows.
 fadewich_testkit::property! {
     #[cases(24)]
-    fn batched_and_scalar_predictions_agree(
+    fn predict_paths_agree_with_predict(
         seed in u64s(0..1 << 32),
         n_classes in usizes(2..5),
         dim in usizes(2..5),
@@ -135,14 +135,12 @@ fadewich_testkit::property! {
         let svm = MultiClassSvm::train(&refs, &ys, kernel, SmoParams::default(), &mut rng)
             .expect("training data spans n_classes classes");
 
-        let batch: Vec<Vec<f64>> = (0..n_rows)
+        let rows: Vec<Vec<f64>> = (0..n_rows)
             .map(|_| (0..dim).map(|_| rng.normal() * 4.0).collect())
             .collect();
-        let batched = svm.predict_batch(&batch);
-        assert_eq!(batched.len(), batch.len());
         let mut scratch = fadewich_svm::PredictScratch::new();
-        for (row, &label) in batch.iter().zip(&batched) {
-            assert_eq!(svm.predict(row), label, "predict_batch diverged on {row:?}");
+        for row in &rows {
+            let label = svm.predict(row);
             assert_eq!(
                 svm.predict_into(row, &mut scratch),
                 label,

@@ -2,9 +2,11 @@
 //!
 //! The workspace has no async runtime and no HTTP library, so this is
 //! a deliberately small hand-rolled server on `std::net::TcpListener`:
-//! one accept thread, one short-lived thread per connection, bounded
-//! request reads (oversized or slow requests are rejected, never
-//! buffered without limit), `Connection: close` on every response.
+//! one accept thread, one short-lived thread per connection (at most
+//! [`MAX_CONNECTIONS`] at once; the accept thread answers the excess
+//! `503` itself), bounded request reads (oversized or slow requests
+//! are rejected, never buffered without limit), `Connection: close`
+//! on every response.
 //! It is the repo's first socket code — a stepping stone toward the
 //! ROADMAP's socket ingestion front.
 //!
@@ -28,8 +30,8 @@
 //! reproducible.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -40,6 +42,11 @@ use crate::trace::Telemetry;
 /// Largest request (line + headers) the server will buffer before
 /// answering `431 Request Header Fields Too Large`.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Most connection handlers alive at once. Each can hold its socket
+/// for up to `IO_TIMEOUT`, so without a cap a connection flood would
+/// spawn threads without bound; past it, new connections get `503`.
+pub const MAX_CONNECTIONS: usize = 32;
 
 /// Per-connection socket timeout: a peer that stalls mid-request is
 /// dropped instead of pinning a handler thread.
@@ -52,7 +59,19 @@ struct Shared {
     start_ns: u64,
     scrapes: AtomicU64,
     rejected: AtomicU64,
+    /// Live connection handlers (see [`MAX_CONNECTIONS`]).
+    active: AtomicUsize,
     shutdown: AtomicBool,
+}
+
+/// One of the [`MAX_CONNECTIONS`] handler slots, released on drop — so
+/// a handler that returns, panics or never starts frees it alike.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.active.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// A running scrape server. Dropping (or calling
@@ -89,6 +108,7 @@ impl OpsServer {
             clock,
             scrapes: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         let worker = Arc::clone(&shared);
@@ -99,13 +119,21 @@ impl OpsServer {
                     if worker.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
-                    let state = Arc::clone(&worker);
+                    let Ok(mut stream) = conn else { continue };
+                    if worker.active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                        worker.rejected.fetch_add(1, Ordering::SeqCst);
+                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                        respond(&mut stream, 503, "Service Unavailable", "text/plain", "busy\n");
+                        drain_and_close(&mut stream);
+                        continue;
+                    }
+                    worker.active.fetch_add(1, Ordering::SeqCst);
+                    let slot = Slot(Arc::clone(&worker));
                     // Short-lived per-connection handlers; a failed
-                    // spawn just drops the connection.
+                    // spawn just drops the connection (and the slot).
                     let _ = thread::Builder::new()
                         .name("fadewich-ops-conn".to_string())
-                        .spawn(move || handle_connection(stream, &state));
+                        .spawn(move || handle_connection(stream, &slot.0));
                 }
             })?;
         Ok(OpsServer { addr: local, shared, accept: Some(accept) })
@@ -180,11 +208,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             "text/plain",
             "request too large\n",
         );
-        // Drain briefly so closing with unread bytes doesn't reset
-        // the connection before the peer has read the 431.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let mut sink = [0u8; 1024];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        drain_and_close(&mut stream);
         return;
     };
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
@@ -256,6 +280,21 @@ fn route(path: &str, shared: &Shared) -> (u16, &'static str, &'static str, Strin
             "fadewich ops plane\n/metrics\n/metrics.json\n/healthz\n/slo\n".to_string(),
         ),
         _ => (404, "Not Found", "text/plain", "not found\n".to_string()),
+    }
+}
+
+/// Half-closes after an early error response, then discards a bounded
+/// amount of unread request bytes (at most eight short reads), so
+/// closing with unread input does not reset the connection before the
+/// peer has read the response.
+fn drain_and_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let mut sink = [0u8; 1024];
+    for _ in 0..8 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use fadewich_telemetry::serve::MAX_REQUEST_BYTES;
+use fadewich_telemetry::serve::{MAX_CONNECTIONS, MAX_REQUEST_BYTES};
 use fadewich_telemetry::{
     Histogram, ManualClock, OpsServer, SloEngine, SloKind, SloSpec, Telemetry, Value,
 };
@@ -120,6 +120,38 @@ fn concurrent_scrapes_all_complete() {
         assert!(resp.starts_with("HTTP/1.0 200 OK"), "{resp}");
     }
     assert!(server.scrapes() >= 8);
+    server.shutdown();
+}
+
+#[test]
+fn connections_past_the_cap_get_503_until_handlers_free_up() {
+    let (_telemetry, server, _clock) = ops_fixture();
+    let addr = server.local_addr();
+    // Idle peers each pin a handler until they close (or time out).
+    // The first MAX_CONNECTIONS take every slot; the next is turned
+    // away by the accept thread.
+    let idle: Vec<TcpStream> =
+        (0..=MAX_CONNECTIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let busy = http_get(addr, "/healthz");
+    assert!(busy.starts_with("HTTP/1.0 503 Service Unavailable"), "{busy}");
+    drop(idle);
+    // Handlers notice the closed peers asynchronously; poll until a
+    // slot is free again.
+    let mut healthy = String::new();
+    for _ in 0..200 {
+        healthy = http_get(addr, "/healthz");
+        if healthy.starts_with("HTTP/1.0 200") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(healthy.starts_with("HTTP/1.0 200 OK"), "{healthy}");
+    let rejected: u64 = body_of(&healthy)
+        .lines()
+        .find_map(|l| l.strip_prefix("wall_rejected "))
+        .and_then(|v| v.parse().ok())
+        .expect("healthz reports wall_rejected");
+    assert!(rejected >= 2, "the idle overflow and the busy request: {healthy}");
     server.shutdown();
 }
 

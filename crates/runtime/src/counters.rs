@@ -157,7 +157,9 @@ pub struct RuntimeCounters {
     /// length, truncation).
     pub corrupt_framing: u64,
     /// Well-formed frames rejected at the engine boundary: unknown
-    /// sensor id or a payload that disagrees with the sensor layout.
+    /// sensor id, a payload that disagrees with the sensor layout, or
+    /// a tick past the end of the day (wire ticks are day-local, so
+    /// `tick ≥ 86_400 × tick_hz` cannot belong to the stream).
     pub corrupt_unknown_sensor: u64,
     /// Frames for a (sensor, tick) slot that was already filled.
     pub frames_duplicate: u64,

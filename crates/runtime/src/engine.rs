@@ -316,6 +316,9 @@ pub struct StreamingEngine<'a> {
     last_seen: Vec<Option<u64>>,
     row: Vec<f64>,
     mask: Vec<bool>,
+    /// Decoded payload of the wire frame being accepted; reused across
+    /// frames so the byte path never allocates one.
+    scratch: Vec<f32>,
     counters: RuntimeCounters,
     events: Vec<EngineEvent>,
     /// Authenticated-mode configuration; `None` = legacy mode. Config,
@@ -396,6 +399,7 @@ impl<'a> StreamingEngine<'a> {
             last_seen: vec![None; n_streams],
             row: vec![0.0; n_streams],
             mask: vec![false; n_streams],
+            scratch: Vec::new(),
             counters: RuntimeCounters::default(),
             events: Vec::new(),
             auth: None,
@@ -483,7 +487,9 @@ impl<'a> StreamingEngine<'a> {
     /// This is the **untrusted boundary**: in authenticated mode every
     /// frame's MAC is verified here and rejects never reach engine
     /// state ([`StreamingEngine::ingest_frame`] is the trusted,
-    /// already-decoded path and bypasses verification).
+    /// already-decoded path and bypasses verification). The payload
+    /// is decoded into a reused scratch buffer, never into a [`Frame`],
+    /// so a steady in-order stream allocates nothing per frame.
     pub fn ingest_bytes(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() {
             self.counters.bytes_in += bytes.len() as u64;
@@ -493,10 +499,13 @@ impl<'a> StreamingEngine<'a> {
             match decoded {
                 Ok((view, used)) => {
                     self.counters.bytes_in -= (bytes.len() - used) as u64;
-                    let frame = self.authenticate(&view).then(|| view.to_frame());
                     bytes = &bytes[used..];
-                    if let Some(frame) = frame {
-                        self.ingest_frame(frame);
+                    if self.authenticate(&view) {
+                        let mut values = std::mem::take(&mut self.scratch);
+                        values.clear();
+                        values.extend(view.values());
+                        self.accept(view.channel, view.sensor, view.seq, view.tick, &values);
+                        self.scratch = values;
                     }
                 }
                 Err(WireError::BadChecksum { .. }) => {
@@ -585,34 +594,46 @@ impl<'a> StreamingEngine<'a> {
     /// untrusted wire input must come through
     /// [`StreamingEngine::ingest_bytes`].
     pub fn ingest_frame(&mut self, frame: Frame) {
+        self.accept(frame.channel, frame.sensor, frame.seq, frame.tick, &frame.values);
+    }
+
+    /// The accept step both ingest paths share: resolve the sender,
+    /// reject frames the layout or the day cannot hold, push into the
+    /// reorder buffer and run every tick the watermark closes.
+    fn accept(&mut self, channel: ChannelKind, sensor: u16, seq: u32, tick: u64, values: &[f32]) {
         // Sensor ids are namespaced per channel kind, so the lookup
         // keys on the (kind, sensor) pair.
-        let Some(sender) = self
-            .groups
-            .iter()
-            .position(|g| g.sensor == frame.sensor && g.kind == frame.channel)
+        let Some(sender) =
+            self.groups.iter().position(|g| g.sensor == sensor && g.kind == channel)
         else {
             self.counters.corrupt_unknown_sensor += 1;
             return;
         };
-        if frame.values.len() != self.groups[sender].positions.len() {
+        // Wire ticks are day-local: a tick past the day's end would
+        // make the watermark emit (and the controller step) every tick
+        // up to it.
+        if values.len() != self.groups[sender].positions.len()
+            || tick as f64 >= 86_400.0 * self.cfg.tick_hz
+        {
             self.counters.corrupt_unknown_sensor += 1;
             return;
         }
         self.counters.frames_in += 1;
-        self.counters.channel_mut(frame.channel).frames_in += 1;
-        let (channel, sensor, tick) = (frame.channel, frame.sensor, frame.tick);
-        let outcome = self.reorder.push(sender, frame.seq, frame.tick, frame.values);
+        self.counters.channel_mut(channel).frames_in += 1;
+        let outcome = self.reorder.push(sender, seq, tick, values);
         if outcome == PushOutcome::Replayed {
             // A byte-exact capture passes the MAC, so replay is the
             // anti-replay window's catch: charge it to the sensor's
             // reject budget like any other auth rejection.
             self.auth_reject(channel, sensor, tick);
         }
-        let bundles = self.reorder.poll();
+        // Liveness events first, then the ticks they unblocked, as
+        // `poll` orders them; each drained row goes back for reuse.
+        self.reorder.refresh();
         self.absorb_reorder_events();
-        for b in bundles {
-            self.process_tick(b.tick, &b.reports);
+        while let Some((tick, reports)) = self.reorder.pop_closed() {
+            self.process_tick(tick, &reports);
+            self.reorder.recycle(reports);
         }
     }
 
@@ -905,6 +926,7 @@ impl<'a> StreamingEngine<'a> {
             last_seen: snap.last_seen.clone(),
             row: vec![0.0; n_streams],
             mask: vec![false; n_streams],
+            scratch: Vec::new(),
             counters: snap.counters.clone(),
             events: Vec::new(),
             auth: None,
@@ -1056,6 +1078,41 @@ mod tests {
         assert_eq!(c.corrupt_unknown_sensor, 2);
         assert_eq!(c.frames_corrupt(), 4);
         assert_eq!(c.frames_in, 0);
+    }
+
+    #[test]
+    fn frames_past_the_end_of_the_day_are_dropped() {
+        // A CRC-valid legacy frame from a known sensor whose tick lies
+        // beyond the day (5 Hz: ticks 0..432,000) must not drag the
+        // watermark out to it: counted as corrupt, dropped, and the
+        // day runs exactly as the clean one.
+        let re = tiny_re(4);
+        let inputs = quiet_inputs();
+        let mut clean = StreamingEngine::new(engine_cfg(), groups(), &re, Kma::new(&inputs)).unwrap();
+        let mut spliced =
+            StreamingEngine::new(engine_cfg(), groups(), &re, Kma::new(&inputs)).unwrap();
+        for t in 0..300 {
+            feed_tick(&mut clean, t, None);
+            feed_tick(&mut spliced, t, None);
+            if t == 20 {
+                let before = spliced.counters().ticks_processed;
+                for tick in [432_000, 2_000_000, u64::MAX] {
+                    spliced.ingest_bytes(&Frame::rssi(0, 21, tick, vec![-50.0, -50.0]).encode());
+                }
+                spliced.ingest_frame(Frame::rssi(1, 21, u64::MAX, vec![-50.0, -50.0]));
+                assert_eq!(spliced.counters().ticks_processed, before);
+                assert_eq!(spliced.counters().corrupt_unknown_sensor, 4);
+            }
+        }
+        clean.finish(300);
+        spliced.finish(300);
+        assert_eq!(spliced.actions(), clean.actions());
+        assert_eq!(spliced.events(), clean.events());
+        let (c, s) = (clean.counters(), spliced.counters());
+        assert_eq!(s.ticks_processed, c.ticks_processed);
+        assert_eq!(s.corrupt_unknown_sensor, 4);
+        assert_eq!(s.frames_in, c.frames_in);
+        assert_eq!(s.watermark_lag_max, c.watermark_lag_max);
     }
 
     #[test]

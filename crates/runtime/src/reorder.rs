@@ -36,6 +36,7 @@
 //! flag is configuration (the engine reapplies it on restore); the
 //! bitmaps themselves are state and checkpoint with the buffer.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Reassembly parameters.
@@ -131,16 +132,22 @@ pub struct ReorderState {
     pub pending: Vec<(u64, Vec<Option<Vec<f32>>>)>,
 }
 
+/// One tick's payloads, indexed by sender.
+type Row = Vec<Option<Vec<f32>>>;
+
 /// The reorder buffer. See the module docs for the watermark rules.
 #[derive(Debug, Clone)]
 pub struct ReorderBuffer {
     cfg: ReorderConfig,
     /// Buffered payloads per tick (sparse; only ticks ≥ `next_emit`).
-    pending: BTreeMap<u64, Vec<Option<Vec<f32>>>>,
+    pending: BTreeMap<u64, Row>,
     /// Next tick to emit.
     next_emit: u64,
     /// Highest tick seen per sender (`None` before its first frame).
     frontier: Vec<Option<u64>>,
+    /// The largest `frontier` entry, kept current by `push` (frontiers
+    /// only grow).
+    global: Option<u64>,
     /// Highest sequence number seen per sender.
     max_seq: Vec<Option<u32>>,
     quarantined: Vec<bool>,
@@ -152,6 +159,15 @@ pub struct ReorderBuffer {
     anti_replay: bool,
     /// Per-sender anti-replay bitmaps (state; see [`ReorderState`]).
     replay_seen: Vec<u64>,
+    /// Whether the quarantine sweep could trip a sender: set when the
+    /// global frontier advances, a sender recovers or a deadline
+    /// changes — nothing else can push a live sender past its deadline.
+    sweep_due: bool,
+    /// Emitted rows and payloads handed back through
+    /// [`ReorderBuffer::recycle`], reused by later pushes. Capacity,
+    /// not state: neither is checkpointed.
+    spare_rows: Vec<Row>,
+    spare_payloads: Vec<Vec<f32>>,
     events: Vec<SenderEvent>,
     duplicates: u64,
     late: u64,
@@ -172,11 +188,15 @@ impl ReorderBuffer {
             pending: BTreeMap::new(),
             next_emit: 0,
             frontier: vec![None; cfg.n_senders],
+            global: None,
             max_seq: vec![None; cfg.n_senders],
             quarantined: vec![false; cfg.n_senders],
             thresholds: vec![cfg.quarantine_after_ticks; cfg.n_senders],
             anti_replay: false,
             replay_seen: vec![0; cfg.n_senders],
+            sweep_due: false,
+            spare_rows: Vec::new(),
+            spare_payloads: Vec::new(),
             events: Vec::new(),
             duplicates: 0,
             late: 0,
@@ -231,12 +251,22 @@ impl ReorderBuffer {
         }
     }
 
-    /// Offers one decoded frame.
+    /// Offers one decoded frame. A buffered payload lands in a `Vec`
+    /// handed back through [`ReorderBuffer::recycle`] when one is
+    /// spare, so a caller that recycles what it drains allocates
+    /// nothing per frame. With none spare, an owned `Vec` is kept as
+    /// is and a borrowed slice is copied into a new one.
     ///
     /// # Panics
     ///
     /// Panics if `sender` is out of range.
-    pub fn push(&mut self, sender: usize, seq: u32, tick: u64, values: Vec<f32>) -> PushOutcome {
+    pub fn push<'v>(
+        &mut self,
+        sender: usize,
+        seq: u32,
+        tick: u64,
+        values: impl Into<Cow<'v, [f32]>>,
+    ) -> PushOutcome {
         assert!(sender < self.cfg.n_senders, "sender out of range");
         if self.anti_replay && self.is_replay(sender, seq) {
             // Rejected before frontier/quarantine updates: a replayed
@@ -251,45 +281,70 @@ impl ReorderBuffer {
         }
         if self.frontier[sender].map_or(true, |f| tick > f) {
             self.frontier[sender] = Some(tick);
+            if self.global.is_none_or(|g| tick > g) {
+                self.global = Some(tick);
+                self.sweep_due = true;
+            }
         }
         if self.quarantined[sender] {
             self.quarantined[sender] = false;
+            self.sweep_due = true;
             self.events.push(SenderEvent::Recovered { sender, at_tick: tick });
         }
         if tick < self.next_emit {
             self.late += 1;
             return PushOutcome::Late;
         }
-        let slot = &mut self
+        let n = self.cfg.n_senders;
+        let row = self
             .pending
             .entry(tick)
-            .or_insert_with(|| vec![None; self.cfg.n_senders])[sender];
+            .or_insert_with(|| self.spare_rows.pop().unwrap_or_else(|| vec![None; n]));
+        let slot = &mut row[sender];
         if slot.is_some() {
             self.duplicates += 1;
             return PushOutcome::Duplicate;
         }
-        *slot = Some(values);
+        *slot = Some(match (values.into(), self.spare_payloads.pop()) {
+            (Cow::Owned(owned), None) => owned,
+            (values, spare) => {
+                let mut payload = spare.unwrap_or_default();
+                payload.extend_from_slice(&values);
+                payload
+            }
+        });
         PushOutcome::Buffered
     }
 
     /// Highest tick seen from any sender.
     pub fn global_frontier(&self) -> Option<u64> {
-        self.frontier.iter().flatten().copied().max()
+        self.global
     }
 
     /// Ticks between the global frontier and the next emission — how
     /// far reassembly trails ingestion right now.
     pub fn watermark_lag(&self) -> u64 {
-        self.global_frontier().map_or(0, |g| (g + 1).saturating_sub(self.next_emit))
+        self.global.map_or(0, |g| g.saturating_add(1).saturating_sub(self.next_emit))
     }
 
-    /// Largest watermark lag ever observed by [`ReorderBuffer::poll`].
+    /// Largest watermark lag ever observed by [`ReorderBuffer::refresh`]
+    /// (which every poll runs first).
     pub fn max_watermark_lag(&self) -> u64 {
         self.max_lag
     }
 
-    fn refresh_quarantine(&mut self) {
-        let Some(global) = self.global_frontier() else { return };
+    /// Brings liveness up to date: quarantines every live sender past
+    /// its deadline (recording [`SenderEvent::Quarantined`]) and
+    /// updates the largest watermark lag. A no-op unless a push or a
+    /// deadline change since the last call could have changed either.
+    /// [`ReorderBuffer::poll`] and [`ReorderBuffer::pop_closed`] call
+    /// it first; call it directly to collect the sweep's events with
+    /// [`ReorderBuffer::take_events`] before draining.
+    pub fn refresh(&mut self) {
+        if !std::mem::take(&mut self.sweep_due) {
+            return;
+        }
+        let Some(global) = self.global else { return };
         for sender in 0..self.cfg.n_senders {
             if self.quarantined[sender] {
                 continue;
@@ -297,13 +352,14 @@ impl ReorderBuffer {
             let lag = match self.frontier[sender] {
                 Some(f) => global.saturating_sub(f),
                 // Never heard from: lag measured from the stream start.
-                None => global + 1,
+                None => global.saturating_add(1),
             };
             if lag > self.thresholds[sender] {
                 self.quarantined[sender] = true;
                 self.events.push(SenderEvent::Quarantined { sender, at_tick: global });
             }
         }
+        self.max_lag = self.max_lag.max(self.watermark_lag());
     }
 
     /// Whether `sender` is currently quarantined.
@@ -326,6 +382,7 @@ impl ReorderBuffer {
     /// Panics if `sender` is out of range.
     pub fn set_sender_quarantine(&mut self, sender: usize, ticks: u64) {
         self.thresholds[sender] = ticks;
+        self.sweep_due = true;
     }
 
     /// The quarantine deadline currently applied to `sender`.
@@ -352,30 +409,71 @@ impl ReorderBuffer {
         self.replayed
     }
 
-    fn closeable(&self, tick: u64) -> bool {
-        let bundle = self.pending.get(&tick);
+    /// Whether the watermark has closed `next_emit`: every sender is
+    /// quarantined, has delivered it, or has moved `jitter_ticks` past
+    /// it.
+    fn head_closed(&self) -> bool {
+        let tick = self.next_emit;
+        if self.global.is_none_or(|g| tick > g) {
+            return false;
+        }
+        let row = self.pending.get(&tick);
+        let due = tick.saturating_add(self.cfg.jitter_ticks);
         (0..self.cfg.n_senders).all(|s| {
             self.quarantined[s]
-                || bundle.is_some_and(|b| b[s].is_some())
-                || self.frontier[s].is_some_and(|f| f >= tick + self.cfg.jitter_ticks)
+                || row.is_some_and(|r| r[s].is_some())
+                || self.frontier[s].is_some_and(|f| f >= due)
         })
+    }
+
+    /// Removes the watermark tick's row — an all-`None` one if nothing
+    /// arrived for it — and moves the watermark past it.
+    fn emit_head(&mut self) -> (u64, Row) {
+        let tick = self.next_emit;
+        let n = self.cfg.n_senders;
+        let reports = self
+            .pending
+            .remove(&tick)
+            .unwrap_or_else(|| self.spare_rows.pop().unwrap_or_else(|| vec![None; n]));
+        self.next_emit += 1;
+        (tick, reports)
+    }
+
+    /// Emits the next tick the watermark has closed, if any: its tick
+    /// and per-sender payloads, exactly as the next
+    /// [`TickBundle`] of [`ReorderBuffer::poll`] would carry them.
+    /// Pass the payloads back through [`ReorderBuffer::recycle`] once
+    /// consumed, and a steady stream allocates nothing per tick.
+    pub fn pop_closed(&mut self) -> Option<(u64, Vec<Option<Vec<f32>>>)> {
+        self.refresh();
+        if self.head_closed() {
+            Some(self.emit_head())
+        } else {
+            None
+        }
+    }
+
+    /// Hands an emitted row back for reuse: its payload `Vec`s and the
+    /// row itself back the next pushes. A row whose width is not
+    /// `n_senders` is dropped.
+    pub fn recycle(&mut self, mut reports: Vec<Option<Vec<f32>>>) {
+        if reports.len() != self.cfg.n_senders {
+            return;
+        }
+        for slot in &mut reports {
+            if let Some(mut payload) = slot.take() {
+                payload.clear();
+                self.spare_payloads.push(payload);
+            }
+        }
+        self.spare_rows.push(reports);
     }
 
     /// Emits every tick the watermark has closed, in order.
     pub fn poll(&mut self) -> Vec<TickBundle> {
-        self.refresh_quarantine();
-        self.max_lag = self.max_lag.max(self.watermark_lag());
-        let mut out = Vec::new();
-        let Some(global) = self.global_frontier() else { return out };
-        while self.next_emit <= global && self.closeable(self.next_emit) {
-            let reports = self
-                .pending
-                .remove(&self.next_emit)
-                .unwrap_or_else(|| vec![None; self.cfg.n_senders]);
-            out.push(TickBundle { tick: self.next_emit, reports });
-            self.next_emit += 1;
-        }
-        out
+        std::iter::from_fn(|| self.pop_closed())
+            .map(|(tick, reports)| TickBundle { tick, reports })
+            .collect()
     }
 
     /// Exports the full reassembly state for checkpointing. Call only
@@ -452,11 +550,17 @@ impl ReorderBuffer {
             pending,
             next_emit: state.next_emit,
             frontier: state.frontier.clone(),
+            global: state.frontier.iter().flatten().copied().max(),
             max_seq: state.max_seq.clone(),
             quarantined: state.quarantined.clone(),
             thresholds: vec![cfg.quarantine_after_ticks; cfg.n_senders],
             anti_replay: false,
             replay_seen: state.replay_seen.clone(),
+            // Conservative: the first poll re-runs the sweep, which is
+            // a no-op unless the captured buffer had one outstanding.
+            sweep_due: true,
+            spare_rows: Vec::new(),
+            spare_payloads: Vec::new(),
             events: Vec::new(),
             duplicates: state.duplicates,
             late: state.late,
@@ -471,17 +575,12 @@ impl ReorderBuffer {
     /// `None` for frames that never arrived.
     pub fn flush(&mut self) -> Vec<TickBundle> {
         let mut out = self.poll();
-        let Some(last) = self.pending.keys().next_back().copied().or(self.global_frontier())
-        else {
+        let Some(last) = self.pending.keys().next_back().copied().or(self.global) else {
             return out;
         };
         while self.next_emit <= last {
-            let reports = self
-                .pending
-                .remove(&self.next_emit)
-                .unwrap_or_else(|| vec![None; self.cfg.n_senders]);
-            out.push(TickBundle { tick: self.next_emit, reports });
-            self.next_emit += 1;
+            let (tick, reports) = self.emit_head();
+            out.push(TickBundle { tick, reports });
         }
         out
     }
@@ -614,6 +713,26 @@ mod tests {
         assert_eq!(rb.watermark_lag(), 10);
         rb.poll();
         assert_eq!(rb.max_watermark_lag(), 10);
+    }
+
+    #[test]
+    fn far_future_tick_saturates_instead_of_overflowing() {
+        // Sender 2 is never heard from; sender 0 jumps to the last
+        // representable tick. Lag arithmetic saturates, the silent
+        // senders are quarantined, and the watermark moves one tick at
+        // a time rather than panicking.
+        let c = ReorderConfig { n_senders: 3, jitter_ticks: 3, quarantine_after_ticks: 50 };
+        let mut rb = ReorderBuffer::new(c);
+        for t in 0..10u64 {
+            rb.push(0, t as u32, t, payload(0.0));
+            rb.push(1, t as u32, t, payload(1.0));
+        }
+        rb.push(0, 10, u64::MAX, payload(0.0));
+        assert_eq!(rb.watermark_lag(), u64::MAX);
+        let (tick, reports) = rb.pop_closed().expect("every sender is done with tick 0");
+        assert_eq!((tick, reports), (0, vec![Some(payload(0.0)), Some(payload(1.0)), None]));
+        assert!(rb.is_quarantined(1) && rb.is_quarantined(2));
+        assert_eq!(rb.max_watermark_lag(), u64::MAX);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Property tests for the wire codec and the reorder buffer.
 
+use std::collections::BTreeMap;
+
 use fadewich_core::stream::ChannelKind;
-use fadewich_runtime::reorder::{ReorderBuffer, ReorderConfig};
+use fadewich_runtime::reorder::{
+    PushOutcome, ReorderBuffer, ReorderConfig, ReorderState, SenderEvent, TickBundle,
+};
 use fadewich_runtime::wire::Frame;
 use fadewich_stats::rng::Rng;
 use fadewich_testkit::prop::{u64s, usizes};
@@ -22,6 +26,133 @@ fn frame_from(rng: &mut Rng, max_payload: usize) -> Frame {
         seq: rng.below(1 << 31) as u32,
         tick: rng.below(1 << 40) as u64,
         values: (0..len).map(|_| (-80.0 + 60.0 * rng.f64()) as f32).collect(),
+    }
+}
+
+/// The watermark rules of `reorder.rs`'s module docs, restated as
+/// plainly as possible: every poll rescans all senders for the global
+/// frontier, sweeps quarantine and checks closure sender by sender.
+/// No cached frontier, no skipped sweep, no recycled storage.
+struct ReferenceReorder {
+    cfg: ReorderConfig,
+    thresholds: Vec<u64>,
+    anti_replay: bool,
+    s: ReorderState,
+    events: Vec<SenderEvent>,
+}
+
+impl ReferenceReorder {
+    fn new(cfg: ReorderConfig, anti_replay: bool) -> ReferenceReorder {
+        let n = cfg.n_senders;
+        ReferenceReorder {
+            cfg,
+            thresholds: vec![cfg.quarantine_after_ticks; n],
+            anti_replay,
+            s: ReorderState {
+                next_emit: 0,
+                frontier: vec![None; n],
+                max_seq: vec![None; n],
+                quarantined: vec![false; n],
+                duplicates: 0,
+                late: 0,
+                reordered: 0,
+                replayed: 0,
+                replay_seen: vec![0; n],
+                max_lag: 0,
+                pending: Vec::new(),
+            },
+            events: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, sender: usize, seq: u32, tick: u64, values: &[f32]) -> PushOutcome {
+        let s = &mut self.s;
+        if self.anti_replay {
+            let (max, bits) = (s.max_seq[sender], &mut s.replay_seen[sender]);
+            let replay = match max {
+                None => {
+                    *bits = 1;
+                    false
+                }
+                Some(m) if seq > m => {
+                    *bits = bits.checked_shl(seq - m).unwrap_or(0) | 1;
+                    false
+                }
+                Some(m) => {
+                    let seen = m - seq >= 64 || *bits & (1 << (m - seq)) != 0;
+                    if !seen {
+                        *bits |= 1 << (m - seq);
+                    }
+                    seen
+                }
+            };
+            if replay {
+                s.replayed += 1;
+                return PushOutcome::Replayed;
+            }
+        }
+        match s.max_seq[sender] {
+            Some(m) if seq < m => s.reordered += 1,
+            m => s.max_seq[sender] = Some(m.map_or(seq, |m| m.max(seq))),
+        }
+        s.frontier[sender] = Some(s.frontier[sender].map_or(tick, |f| f.max(tick)));
+        if s.quarantined[sender] {
+            s.quarantined[sender] = false;
+            self.events.push(SenderEvent::Recovered { sender, at_tick: tick });
+        }
+        if tick < s.next_emit {
+            s.late += 1;
+            return PushOutcome::Late;
+        }
+        let n = self.cfg.n_senders;
+        let mut pending: BTreeMap<u64, Vec<Option<Vec<f32>>>> = s.pending.drain(..).collect();
+        let slot = &mut pending.entry(tick).or_insert_with(|| vec![None; n])[sender];
+        let outcome = if slot.is_some() {
+            s.duplicates += 1;
+            PushOutcome::Duplicate
+        } else {
+            *slot = Some(values.to_vec());
+            PushOutcome::Buffered
+        };
+        s.pending = pending.into_iter().collect();
+        outcome
+    }
+
+    fn poll(&mut self) -> Vec<TickBundle> {
+        let s = &mut self.s;
+        let Some(global) = s.frontier.iter().flatten().copied().max() else {
+            return Vec::new();
+        };
+        for sender in 0..self.cfg.n_senders {
+            let lag = s.frontier[sender].map_or(global.saturating_add(1), |f| global - f);
+            if !s.quarantined[sender] && lag > self.thresholds[sender] {
+                s.quarantined[sender] = true;
+                self.events.push(SenderEvent::Quarantined { sender, at_tick: global });
+            }
+        }
+        s.max_lag = s.max_lag.max((global + 1).saturating_sub(s.next_emit));
+        let mut out = Vec::new();
+        while s.next_emit <= global {
+            let tick = s.next_emit;
+            let row = s.pending.first().filter(|(t, _)| *t == tick).map(|(_, r)| r.clone());
+            let closed = (0..self.cfg.n_senders).all(|k| {
+                s.quarantined[k]
+                    || row.as_ref().is_some_and(|r| r[k].is_some())
+                    || s.frontier[k].is_some_and(|f| f >= tick + self.cfg.jitter_ticks)
+            });
+            if !closed {
+                break;
+            }
+            if row.is_some() {
+                s.pending.remove(0);
+            }
+            out.push(TickBundle {
+                tick,
+                reports: row.unwrap_or_else(|| vec![None; self.cfg.n_senders]),
+            });
+            s.next_emit += 1;
+        }
+        out
     }
 }
 
@@ -119,5 +250,94 @@ fadewich_testkit::property! {
                 assert_eq!(payload, &vec![sender as f32, expect as f32]);
             }
         }
+    }
+
+    // Lossy delivery — drops, outages long enough to quarantine,
+    // duplicates, frames past the jitter bound, reordering, replays
+    // and a mid-stream deadline change — through three buffers: one
+    // drained the way the engine drains it (refresh, events, then
+    // `pop_closed` with every row recycled), one through `poll()`, and
+    // the plain reference model above. Bundles, events, outcomes and
+    // the checkpointable state must agree after every frame.
+    #[cases(128)]
+    fn recycled_drain_matches_poll_and_the_reference(
+        seed in u64s(0..1 << 48),
+        n_senders in usizes(1..5),
+        n_ticks in usizes(1..80),
+        jitter in usizes(1..5),
+    ) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let anti_replay = rng.bernoulli(0.5);
+        let quarantine = 2 + rng.below(12);
+        let cfg = ReorderConfig {
+            n_senders,
+            jitter_ticks: jitter as u64,
+            quarantine_after_ticks: quarantine.max(jitter + 1) as u64,
+        };
+        // (arrival, index, sender, seq, tick, payload length)
+        let mut sched: Vec<(u64, usize, usize, u32, u64, usize)> = Vec::new();
+        let outage: Vec<(u64, u64)> = (0..n_senders)
+            .map(|_| {
+                let start = rng.below(n_ticks + 1) as u64;
+                (start, start + rng.below(3 * quarantine + 1) as u64)
+            })
+            .collect();
+        for tick in 0..n_ticks as u64 {
+            for sender in 0..n_senders {
+                if (outage[sender].0..outage[sender].1).contains(&tick) || rng.bernoulli(0.1) {
+                    continue;
+                }
+                let len = 1 + rng.below(4);
+                let copies = if rng.bernoulli(0.1) { 2 } else { 1 };
+                for _ in 0..copies {
+                    // Mostly inside the jitter bound, sometimes past it.
+                    let spread = if rng.bernoulli(0.1) { jitter + 4 } else { jitter + 1 };
+                    let delay = rng.below(spread) as u64;
+                    let arrival = if rng.bernoulli(0.05) {
+                        tick + 2 * jitter as u64 + 5
+                    } else {
+                        tick + delay
+                    };
+                    sched.push((arrival, sched.len(), sender, tick as u32, tick, len));
+                }
+            }
+        }
+        sched.sort_by_key(|&(arrival, i, ..)| (arrival, i));
+        let retune = rng.below(sched.len() + 1);
+
+        let mut drained = ReorderBuffer::new(cfg);
+        let mut polled = ReorderBuffer::new(cfg);
+        drained.set_anti_replay(anti_replay);
+        polled.set_anti_replay(anti_replay);
+        let mut reference = ReferenceReorder::new(cfg, anti_replay);
+        for (step, &(_, _, sender, seq, tick, len)) in sched.iter().enumerate() {
+            if step == retune {
+                let ticks = rng.below(2 * quarantine) as u64 + 1;
+                drained.set_sender_quarantine(sender, ticks);
+                polled.set_sender_quarantine(sender, ticks);
+                reference.thresholds[sender] = ticks;
+            }
+            let values: Vec<f32> = (0..len).map(|i| (tick * 10 + i as u64) as f32).collect();
+            let outcome = drained.push(sender, seq, tick, &values);
+            assert_eq!(polled.push(sender, seq, tick, values.clone()), outcome, "step {step}");
+            assert_eq!(reference.push(sender, seq, tick, &values), outcome, "step {step}");
+
+            drained.refresh();
+            let events = drained.take_events();
+            let mut bundles = Vec::new();
+            while let Some((tick, reports)) = drained.pop_closed() {
+                bundles.push(TickBundle { tick, reports: reports.clone() });
+                drained.recycle(reports);
+            }
+            assert_eq!(polled.poll(), bundles, "step {step}");
+            assert_eq!(reference.poll(), bundles, "step {step}");
+            assert_eq!(polled.take_events(), events, "step {step}");
+            assert_eq!(std::mem::take(&mut reference.events), events, "step {step}");
+            let state = drained.state();
+            assert_eq!(polled.state(), state, "step {step}");
+            assert_eq!(reference.s, state, "step {step}");
+        }
+        assert_eq!(drained.flush(), polled.flush());
+        assert_eq!(drained.state(), polled.state());
     }
 }

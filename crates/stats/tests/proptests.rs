@@ -1,10 +1,12 @@
 //! Property-based tests of the statistics substrate.
 
+use fadewich_stats::checksum::crc32;
 use fadewich_stats::descriptive;
 use fadewich_stats::histogram::Histogram;
 use fadewich_stats::kde::GaussianKde;
 use fadewich_stats::metrics::DetectionCounts;
 use fadewich_stats::rmi::relative_mutual_information;
+use fadewich_stats::rng::Rng;
 use fadewich_stats::rolling::{HistoryBuffer, RollingStd};
 use fadewich_testkit::prop::{f64s, u32s, u64s, usizes, vecs, F64Range, VecStrategy};
 
@@ -46,7 +48,39 @@ fn bisect_80(xs: &[f64], h: f64, q: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
+/// Byte-at-a-time IEEE CRC-32, bit by bit from the reflected
+/// polynomial: no table, so it shares nothing with the sliced
+/// implementation under test.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    !c
+}
+
+#[test]
+fn crc32_reference_matches_the_check_vector() {
+    assert_eq!(reference_crc32(b"123456789"), 0xCBF4_3926);
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
 fadewich_testkit::property! {
+    // Slicing-by-8 folds whole 8-byte blocks and finishes the tail a
+    // byte at a time, so every prefix length in `len-7..=len` is
+    // checked: each case covers all eight remainders mod 8.
+    #[cases(256)]
+    fn crc32_matches_byte_at_a_time_reference(seed in u64s(0..1 << 48), len in usizes(0..301)) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        for l in len.saturating_sub(7)..=len {
+            assert_eq!(crc32(&bytes[..l]), reference_crc32(&bytes[..l]), "length {l}");
+        }
+    }
+
     fn rolling_std_matches_batch(xs in finite_vec(200), cap in usizes(2..40)) {
         let mut w = RollingStd::new(cap);
         for &x in &xs {

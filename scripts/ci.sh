@@ -135,7 +135,7 @@ cmp "$workdir/bench1.nowall" "$workdir/bench2.nowall"
 # full-size workload fields legitimately differ from a smoke run's,
 # so that leg only checks no benchmark row silently disappeared.
 scripts/bench_diff.sh "$workdir/bench1.json" "$workdir/bench2.json"
-scripts/bench_diff.sh --rows-only BENCH_2026-10-17.json "$workdir/bench1.json"
+scripts/bench_diff.sh --rows-only BENCH_2026-10-18.json "$workdir/bench1.json"
 
 # Repository-benchmark gate: perfbench's self-tests, then a 1-second
 # untraced run of every workload. A run exits non-zero when one of its
